@@ -2,10 +2,11 @@
 
 A :class:`ComputeBackend` supplies the *math* of the executor operation
 set — GEMM, the CholQR building blocks (Gram/Cholesky/triangular
-solve), the small SVD, row norms, the sampling RNG, and the host↔device
-transfer hooks — while the executors in :mod:`repro.gpu` keep the
-*accounting*: modeled kernel time, phase attribution, device memory,
-and stream placement.  The split means one pipeline can run
+solve), the pivoted QR of the sample, the small SVD, row norms, the
+sampling RNG, and the host↔device transfer hooks — while the
+executors in :mod:`repro.gpu` keep the *accounting*: modeled kernel
+time, phase attribution, device memory, and stream placement.  The
+split means one pipeline can run
 
 - bit-reproducibly on the modeling backends (``simulated`` — the
   default — and ``numpy``, which share the exact same host BLAS/LAPACK
@@ -38,6 +39,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import CholeskyBreakdownError
+from . import hostmath
 
 __all__ = ["BackendStats", "ComputeBackend"]
 
@@ -191,6 +193,13 @@ class ComputeBackend(abc.ABC):
         with _KernelTimer(self.stats):
             return self._qr(a)
 
+    def qrcp(self, a: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """QR with column pivoting ``q, r, perm`` with
+        ``a[:, perm] = q r`` (GEQP3; Step 2 on the sampled matrix)."""
+        with _KernelTimer(self.stats):
+            return self._qrcp(a)
+
     def lstsq(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Least-squares solution of ``a x = b`` (CUR's core solve)."""
         with _KernelTimer(self.stats):
@@ -240,6 +249,11 @@ class ComputeBackend(abc.ABC):
 
     @abc.abstractmethod
     def _fft(self, a, n, axis) -> np.ndarray: ...
+
+    def _qrcp(self, a) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Host LAPACK for every backend: the sample is only l x n, too
+        # small to repay a device round trip.
+        return hostmath.qr_pivoted(a)
 
     # -- misc ------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -21,11 +21,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 __all__ = [
     "LinAlgError", "norm", "norm2", "column_norms", "row_norms",
-    "svd", "svdvals", "qr", "solve", "lstsq", "cholesky_upper",
-    "solve_triangular", "fft",
+    "svd", "svdvals", "qr", "qr_pivoted", "solve", "lstsq",
+    "cholesky_upper", "solve_triangular", "fft",
 ]
 
 #: The breakdown exception of the host LAPACK routines (scipy re-uses
@@ -95,11 +96,51 @@ def cholesky_upper(g) -> np.ndarray:
     return scipy.linalg.cholesky(g, lower=False)
 
 
+def qr_pivoted(a) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economy QR with column pivoting (LAPACK ``geqp3``/``orgqr``).
+
+    Returns ``q, r, perm`` with ``a[:, perm] = q r``; ``perm`` is an
+    ``intp`` index array.
+    """
+    q, r, perm = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    return q, r, perm.astype(np.intp)
+
+
 def solve_triangular(r, b, lower: bool = False,
                      trans: str = "N") -> np.ndarray:
-    """Triangular solve (LAPACK ``trtrs``); ``trans="T"`` solves
-    ``r^T x = b``."""
-    return scipy.linalg.solve_triangular(r, b, lower=lower, trans=trans)
+    """Triangular solve ``op(r) x = b``; ``trans="T"`` solves
+    ``r^T x = b``.
+
+    A non-empty 2-D float64 ``b`` (float64 ``r``, ``trans`` ``"N"`` or
+    ``"T"``) is solved as the right-side BLAS
+    ``trsm`` ``x^T op(r)^T = b^T`` on the zero-copy ``b.T`` view and
+    returned C-ordered: a row-major wide block (CholQR's ``l x n``
+    sample) then never takes the Fortran-order copy a left-side solve
+    needs.  Anything else goes to ``scipy.linalg.solve_triangular``.
+    Both paths keep scipy's contract: a non-finite operand raises
+    ``ValueError``, an exact zero on the diagonal raises
+    :data:`LinAlgError`, and ``b`` is never written.
+    """
+    r, b = np.asarray(r), np.asarray(b)
+    if (trans not in ("N", "T") or b.ndim != 2 or b.size == 0
+            or b.dtype != np.float64 or r.dtype != np.float64
+            or r.shape != (b.shape[0], b.shape[0])):
+        return scipy.linalg.solve_triangular(r, b, lower=lower, trans=trans)
+    # scipy's own finiteness check, with its ValueError.
+    np.asarray_chkfinite(r)
+    np.asarray_chkfinite(b)
+    zeros = np.flatnonzero(np.diagonal(r) == 0.0)
+    if zeros.size:
+        raise LinAlgError("singular matrix: resolution failed at "
+                          f"diagonal {zeros[0]}")
+    # Transposing the system flips which of r, r^T multiplies x.  A
+    # b.T that is not Fortran-ordered reaches BLAS as a fresh copy,
+    # which the solve may then overwrite instead of copying again.
+    bt = b.T
+    xt = scipy.linalg.blas.dtrsm(1.0, r, bt, side=1, lower=int(lower),
+                                 trans_a=int(trans == "N"),
+                                 overwrite_b=int(not bt.flags.f_contiguous))
+    return xt.T
 
 
 def fft(a, n: Optional[int] = None, axis: int = 0) -> np.ndarray:

@@ -107,8 +107,12 @@ class TorchBackend(ComputeBackend):
             # Solving r^T x = b: the transpose of an upper factor is
             # lower triangular (and vice versa).
             tr, lower = tr.mT, not lower
-        return self._n(torch.linalg.solve_triangular(
-            tr, tb, upper=not lower))
+        # torch needs a 2-D right-hand side; a vector solves as one
+        # column and comes back 1-D, as under scipy.
+        vector = tb.ndim == 1
+        x = torch.linalg.solve_triangular(
+            tr, tb[:, None] if vector else tb, upper=not lower)
+        return self._n(x[:, 0] if vector else x)
 
     def _svd(self, a, full_matrices: bool
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -36,7 +36,6 @@ from ..errors import (ConfigurationError, ShapeError,
                       SymbolicExecutionError)
 from ..perfmodel.costs import DEFAULT_FAST_MEMORY
 from ..qr import cholqr, gram_schmidt, householder
-from ..qr.qrcp import qp3_blocked
 from ..qr.tsqr import tsqr as tsqr_factorize
 from ..qr.utils import solve_upper_triangular
 from .kernels import KernelModel, gemm_flops, qp3_flops, qr_flops
@@ -475,9 +474,12 @@ class NumpyExecutor:
     def qrcp_sampled(self, b: ArrayLike, k: int) -> Tuple[ArrayLike,
                                                           ArrayLike,
                                                           np.ndarray]:
-        """Step 2: truncated QP3 of the sampled matrix ``B``.
+        """Step 2: truncated QRCP of the sampled matrix ``B``.
 
-        Returns ``(Q_hat, R_hat, perm)``.  Symbolic inputs get an
+        Returns ``(Q_hat, R_hat, perm)``: the leading ``k`` columns of
+        Q and rows of R from the backend's LAPACK ``geqp3`` (the
+        from-scratch QP3 baseline is
+        :func:`repro.qr.qrcp.qp3_blocked`).  Symbolic inputs get an
         identity permutation placeholder (the timing model is
         data-independent).
         """
@@ -486,8 +488,8 @@ class NumpyExecutor:
         self._t_qrcp(l, n, k)
         if is_symbolic(b):
             return SymArray((l, k)), SymArray((k, n)), np.arange(n)
-        res = qp3_blocked(np.asarray(b), k=k)
-        return res.q, res.r, res.perm
+        q, r, perm = self.backend.qrcp(np.asarray(b))
+        return q[:, :k], r[:k, :], perm
 
     @residency(returns="device")
     @shaped(params={"a": ("m", "n")})

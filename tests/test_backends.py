@@ -145,6 +145,78 @@ class TestKernelContract:
 
 
 # ---------------------------------------------------------------------------
+# Triangular solve: right-side trsm on the transpose, scipy's contract
+# ---------------------------------------------------------------------------
+def _triangular(n=12, lower=False, seed=0):
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal((n, n)) + n * np.eye(n)
+    return np.tril(t) if lower else np.triu(t)
+
+
+def _right_hand_sides(n=12, seed=1):
+    """The layouts CholQR and Step 3 hand the solve."""
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal((n, 300))
+    rhat = rng.standard_normal((n + 5, 40))
+    return {"c_order": wide,
+            "f_order": np.asfortranarray(wide),
+            "transposed_tall": rng.standard_normal((300, n)).T,
+            "strided_slice": rhat[:n, 5:],
+            "vector": wide[:, 0].copy()}
+
+
+class TestTriangularSolve:
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    @pytest.mark.parametrize("layout", list(_right_hand_sides()))
+    def test_matches_scipy(self, lower, trans, layout):
+        import scipy.linalg
+        r = _triangular(lower=lower)
+        b = _right_hand_sides()[layout]
+        before = b.copy()
+        x = hostmath.solve_triangular(r, b, lower=lower, trans=trans)
+        ref = scipy.linalg.solve_triangular(r, b, lower=lower, trans=trans)
+        assert x.shape == b.shape
+        assert x.flags.c_contiguous
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+        np.testing.assert_array_equal(b, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_operand_raises_value_error(self, bad):
+        r, b = _triangular(), _right_hand_sides()["c_order"]
+        b_bad = b.copy()
+        b_bad[3, 7] = bad
+        r_bad = r.copy()
+        r_bad[0, 4] = bad
+        for rr, bb in ((r, b_bad), (r_bad, b), (r, b_bad[:, 7])):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                hostmath.solve_triangular(rr, bb)
+
+    @pytest.mark.parametrize("layout", ["c_order", "vector"])
+    def test_zero_diagonal_raises_linalg_error(self, layout):
+        r = _triangular()
+        r[5, 5] = 0.0
+        with pytest.raises(hostmath.LinAlgError, match="diagonal 5"):
+            hostmath.solve_triangular(r, _right_hand_sides()[layout])
+
+    @pytest.mark.parametrize("layout", list(_right_hand_sides()))
+    def test_simulated_and_numpy_bit_identical(self, layout):
+        r, b = _triangular(), _right_hand_sides()[layout]
+        sim = make_backend("simulated").solve_triangular(r, b, trans="T")
+        npy = make_backend("numpy").solve_triangular(r, b, trans="T")
+        np.testing.assert_array_equal(sim, npy)
+
+    @pytest.mark.skipif(torch_missing, reason="torch not installed")
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_torch_accepts_vector(self, trans):
+        r, b = _triangular(), _right_hand_sides()["vector"]
+        x = make_backend("torch").solve_triangular(r, b, trans=trans)
+        ref = make_backend("numpy").solve_triangular(r, b, trans=trans)
+        assert x.shape == b.shape
+        np.testing.assert_allclose(x, ref, rtol=1e-5, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
 # Parity: simulated vs numpy bit-identical, torch to fp tolerance
 # ---------------------------------------------------------------------------
 def _factors(backend: str, name: str, m=300, n=120, k=20):

@@ -173,6 +173,57 @@ class TestNumpyExecutorMath:
             self.ex.prng_gaussian(2, 3, symbolic=True)
 
 
+def _gallery_sample(name, m=300, n=120, l=28):
+    """The sampled matrix Step 2 sees: Gaussian sketch + one power
+    iteration of a gallery matrix, as in ``random_sampling``."""
+    from repro.core.power import power_iterate
+    from repro.core.sampling import sample
+    from repro.matrices.registry import get_matrix
+    a = get_matrix(name, m, n, seed=3)
+    ex = NumpyExecutor(seed=11)
+    b, _ = power_iterate(ex, a, sample(ex, a, l, kind="gaussian"), q=1,
+                         scheme="cholqr2", reorthogonalize=True)
+    return b
+
+
+class TestQRCPSampledGeqp3:
+    """Step 2 runs LAPACK geqp3 and must pick QP3's pivots."""
+
+    @pytest.mark.parametrize("name", ["power", "exponent", "hapmap"])
+    def test_agrees_with_qp3_blocked(self, name):
+        from repro.qr.qrcp import qp3_blocked
+        k = 20
+        b = _gallery_sample(name)
+        q, r, perm = NumpyExecutor(seed=0).qrcp_sampled(b, k)
+        ref = qp3_blocked(b, k)
+        assert q.shape == (b.shape[0], k) and r.shape == (k, b.shape[1])
+        np.testing.assert_array_equal(perm[:k], ref.perm[:k])
+        np.testing.assert_allclose(np.abs(np.diag(r)),
+                                   np.abs(np.diag(ref.r)), rtol=1e-12)
+        # The k factored pivot columns are reproduced to round-off; the
+        # truncated remainder leaves the same residual as QP3's.
+        nb = np.linalg.norm(b)
+        assert np.linalg.norm(b[:, perm[:k]] - q @ r[:, :k]) <= 1e-12 * nb
+        resid = np.linalg.norm(b[:, perm] - q @ r) / nb
+        ref_resid = np.linalg.norm(b[:, ref.perm] - ref.q @ ref.r) / nb
+        assert resid == pytest.approx(ref_resid, rel=1e-8)
+
+    def test_full_rank_reconstructs(self):
+        b = _gallery_sample("power")
+        l = b.shape[0]
+        q, r, perm = NumpyExecutor(seed=0).qrcp_sampled(b, l)
+        assert sorted(perm.tolist()) == list(range(b.shape[1]))
+        assert np.linalg.norm(b[:, perm] - q @ r) \
+            <= 1e-12 * np.linalg.norm(b)
+
+    def test_timed_as_one_backend_kernel(self):
+        b = _gallery_sample("power")
+        ex = NumpyExecutor(seed=0)
+        calls = ex.backend.stats.kernel_calls
+        ex.qrcp_sampled(b, 20)
+        assert ex.backend.stats.kernel_calls == calls + 1
+
+
 class TestGPUExecutorTiming:
     def setup_method(self):
         self.ex = GPUExecutor(seed=0)
@@ -188,11 +239,14 @@ class TestGPUExecutorTiming:
 
     def test_symbolic_qrcp_placeholder_perm(self):
         b = SymArray((64, 2_500))
+        calls = self.ex.backend.stats.kernel_calls
         q, r, perm = self.ex.qrcp_sampled(b, 54)
         assert isinstance(q, SymArray) and q.shape == (64, 54)
         assert r.shape == (54, 2_500)
         np.testing.assert_array_equal(perm, np.arange(2_500))
         assert self.ex.timeline.seconds("qrcp") > 0
+        # The placeholder is made without a backend call.
+        assert self.ex.backend.stats.kernel_calls == calls
 
     def test_real_math_matches_numpy_executor(self):
         rng = np.random.default_rng(3)
