@@ -48,6 +48,8 @@ __all__ = ["SymArray", "shape_of", "is_symbolic", "SimulatedGPU",
 
 ArrayLike = Union[np.ndarray, "SymArray"]
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 class SymArray:
     """A shape-only stand-in for a device array.
@@ -61,10 +63,15 @@ class SymArray:
     __slots__ = ("shape", "dtype")
 
     def __init__(self, shape: Tuple[int, ...], dtype=np.float64):
-        if any(int(s) < 0 for s in shape):
-            raise ShapeError(f"negative dimension in {shape}")
-        self.shape = tuple(int(s) for s in shape)
-        self.dtype = np.dtype(dtype)
+        # Built several times per executor op in a symbolic sweep, so
+        # convert once, check in one loop, and skip np.dtype() for the
+        # default.
+        shape = tuple(map(int, shape))
+        for s in shape:
+            if s < 0:
+                raise ShapeError(f"negative dimension in {shape}")
+        self.shape = shape
+        self.dtype = _FLOAT64 if dtype is np.float64 else np.dtype(dtype)
 
     @property
     def T(self) -> "SymArray":
@@ -114,7 +121,10 @@ class SymArray:
 
 def is_symbolic(*arrays: ArrayLike) -> bool:
     """True when any argument is a :class:`SymArray`."""
-    return any(isinstance(a, SymArray) for a in arrays)
+    for a in arrays:
+        if isinstance(a, SymArray):
+            return True
+    return False
 
 
 def shape_of(a: ArrayLike) -> Tuple[int, ...]:
@@ -223,7 +233,8 @@ class NumpyExecutor:
     a registry name like ``"numpy"``/``"torch"``, or a live
     :class:`repro.backends.base.ComputeBackend`.  The RNG is built by
     the backend but is numpy PCG64 on every engine, so one seed gives
-    the same sampling matrix everywhere.
+    the same sampling matrix everywhere.  It is built on first use of
+    :attr:`rng`, so a symbolic run never seeds one.
     """
 
     #: Executors that cannot run symbolic arrays set this False.
@@ -231,7 +242,21 @@ class NumpyExecutor:
 
     def __init__(self, seed: Optional[int] = None, backend=None):
         self.backend = resolve_backend(backend)
-        self.rng = self.backend.make_rng(seed)
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The sampling-matrix PRNG: ``backend.make_rng(seed)``, built
+        on first access (same seed, same PCG64 stream as building it
+        up front)."""
+        if self._rng is None:
+            self._rng = self.backend.make_rng(self._seed)
+        return self._rng
+
+    @rng.setter
+    def rng(self, value: np.random.Generator) -> None:
+        self._rng = value
 
     # -- introspection ---------------------------------------------------
     @property

@@ -40,6 +40,7 @@ scheduling model and ``docs/static_analysis.md`` for the checkers.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
@@ -265,8 +266,10 @@ class StreamScheduler:
             raise ConfigurationError(
                 f"unknown phase {phase!r} submitted to the stream "
                 f"scheduler; expected one of {PHASES}")
-        if seconds < 0:
-            raise ConfigurationError(f"negative submission: {seconds}")
+        if not 0.0 <= seconds < inf:
+            raise ConfigurationError(
+                f"submitted time must be finite and non-negative, got "
+                f"{seconds}")
         end = start + seconds
         for k in keys:
             self._ready[k] = end

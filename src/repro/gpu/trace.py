@@ -7,7 +7,8 @@ those tags so the benches can print the paper's stacked bars directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import inf
 from typing import Dict, Iterator, List, Tuple
 
 from ..errors import ConfigurationError
@@ -50,26 +51,34 @@ class TimeLine:
         self._phases: Dict[str, Phase] = {p: Phase() for p in PHASES}
         self.events: List[Tuple[str, str, float]] = []
 
+    def _phase(self, phase: str) -> Phase:
+        try:
+            return self._phases[phase]
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown phase {phase!r}; expected one of {PHASES}"
+            ) from None
+
     def charge(self, phase: str, seconds: float, label: str = "") -> None:
         """Add ``seconds`` of modeled time to ``phase``."""
+        # Inline check, not _phase(): this runs once per modeled charge.
         if phase not in self._phases:
             raise ConfigurationError(
                 f"unknown phase {phase!r}; expected one of {PHASES}")
-        if seconds < 0:
-            raise ConfigurationError(f"negative time charged: {seconds}")
+        if not 0.0 <= seconds < inf:
+            raise ConfigurationError(
+                f"charged time must be finite and non-negative, got "
+                f"{seconds}")
         self._phases[phase].add(seconds)
         self.events.append((phase, label, seconds))
 
     def seconds(self, phase: str) -> float:
         """Accumulated seconds in one phase."""
-        if phase not in self._phases:
-            raise ConfigurationError(
-                f"unknown phase {phase!r}; expected one of {PHASES}")
-        return self._phases[phase].seconds
+        return self._phase(phase).seconds
 
     def calls(self, phase: str) -> int:
         """Number of kernel calls charged to one phase."""
-        return self._phases[phase].calls
+        return self._phase(phase).calls
 
     @property
     def total(self) -> float:

@@ -27,7 +27,8 @@ never in the totals.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import inf
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
@@ -38,33 +39,69 @@ __all__ = ["Span", "PhaseCounter", "SpanRecorder"]
 SPAN_KINDS = ("run", "step", "kernel")
 
 
-@dataclass
+#: Span attributes in constructor order (also the ``__eq__``/``__repr__``
+#: field order, as a dataclass would have it).
+_SPAN_FIELDS = ("name", "kind", "start", "duration", "phase", "device_id",
+                "flops", "bytes_moved", "memory_high_water", "stream",
+                "accounted", "labels", "children")
+
+
 class Span:
-    """One node of the span tree (all times are modeled seconds)."""
+    """One node of the span tree (all times are modeled seconds).
 
-    name: str
-    kind: str
-    start: float = 0.0
-    duration: float = 0.0
-    phase: Optional[str] = None
-    device_id: int = 0
-    flops: float = 0.0
-    bytes_moved: float = 0.0
-    memory_high_water: int = 0
-    #: Stream name for scheduler-placed kernels (None = serial clock).
-    stream: Optional[str] = None
-    #: False for mirror spans of symmetric multi-device work: they
-    #: appear in the tree/trace but not in the counters or totals.
-    accounted: bool = True
-    #: Free-form tags (e.g. serve request ids) so concurrent requests
-    #: sharing one recorder stay distinguishable in the Chrome trace.
-    labels: Tuple[str, ...] = ()
-    children: List["Span"] = field(default_factory=list)
+    A hand-written ``__slots__`` class, not a dataclass: one span is
+    built per modeled charge, so construction sits on the accounting
+    hot path (``dataclass(slots=True)`` needs Python 3.10).  It keeps a
+    dataclass's keyword constructor, defaults, ``__eq__`` and
+    ``__repr__``, but the :mod:`dataclasses` helpers (``asdict``,
+    ``replace``, ``fields``) do not apply — use :meth:`to_dict`.
 
-    def __post_init__(self) -> None:
-        if self.kind not in SPAN_KINDS:
+    ``stream`` names the stream of a scheduler-placed kernel (None =
+    serial clock).  ``accounted`` is False for mirror spans of
+    symmetric multi-device work: they appear in the tree/trace but not
+    in the counters or totals.  ``labels`` are free-form tags (e.g.
+    serve request ids) so concurrent requests sharing one recorder stay
+    distinguishable in the Chrome trace.
+    """
+
+    __slots__ = _SPAN_FIELDS
+    __hash__ = None  # mutable, compared by value (as a dataclass)
+
+    def __init__(self, name: str, kind: str, start: float = 0.0,
+                 duration: float = 0.0, phase: Optional[str] = None,
+                 device_id: int = 0, flops: float = 0.0,
+                 bytes_moved: float = 0.0, memory_high_water: int = 0,
+                 stream: Optional[str] = None, accounted: bool = True,
+                 labels: Tuple[str, ...] = (),
+                 children: Optional[List["Span"]] = None) -> None:
+        if kind not in SPAN_KINDS:
             raise ConfigurationError(
-                f"unknown span kind {self.kind!r}; expected {SPAN_KINDS}")
+                f"unknown span kind {kind!r}; expected {SPAN_KINDS}")
+        self.name = name
+        self.kind = kind
+        self.start = start
+        self.duration = duration
+        self.phase = phase
+        self.device_id = device_id
+        self.flops = flops
+        self.bytes_moved = bytes_moved
+        self.memory_high_water = memory_high_water
+        self.stream = stream
+        self.accounted = accounted
+        self.labels = labels
+        self.children = [] if children is None else children
+
+    def _fields(self) -> Tuple:
+        return tuple(getattr(self, f) for f in _SPAN_FIELDS)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in _SPAN_FIELDS)
+        return f"{self.__class__.__qualname__}({body})"
 
     @property
     def end(self) -> float:
@@ -250,47 +287,63 @@ class SpanRecorder:
         ``stream`` name); the clock then advances to the max end seen,
         i.e. the critical path.  ``accounted=False`` records a mirror
         span (symmetric work on another device) that never touches the
-        counters, the clock, or the peak-memory aggregate.  ``labels``
-        (merged with any open :meth:`labelled` context) tag the span
-        with request/run identifiers for the Chrome-trace export.
+        counters, the clock, the step's flop/byte aggregates, or the
+        peak-memory aggregate.  ``labels`` (merged with any open
+        :meth:`labelled` context) tag the span with request/run
+        identifiers for the Chrome-trace export.
+
+        This runs once per modeled charge, so past the checks it is a
+        few attribute writes: no labels reuses the open context's tuple
+        and the phase's counter is built once, then updated in place.
         """
         if phase not in PHASES:
             raise ConfigurationError(
                 f"unknown phase {phase!r}; expected one of {PHASES}")
-        if seconds < 0:
-            raise ConfigurationError(f"negative span duration: {seconds}")
+        if not 0.0 <= seconds < inf:
+            raise ConfigurationError(
+                f"span duration must be finite and non-negative, got "
+                f"{seconds}")
         if start is not None and start < 0:
             raise ConfigurationError(f"negative span start: {start}")
         placed = self.clock if start is None else start
         if self._run is None:
             self.begin_run()
-        if self._step is None or self._step.phase != phase:
+        step = self._step
+        if step is None or step.phase != phase:
             self._close_step()
-            self._step = Span(name=phase, kind="step", phase=phase,
-                              start=min(self.clock, placed),
-                              labels=self._labels)
-            self._run.children.append(self._step)
-        merged = list(self._labels)
-        for lab in labels:
-            lab = str(lab)
-            if lab not in merged:
-                merged.append(lab)
+            step = self._step = Span(name=phase, kind="step", phase=phase,
+                                     start=min(self.clock, placed),
+                                     labels=self._labels)
+            self._run.children.append(step)
+        if labels:
+            merged = list(self._labels)
+            for lab in labels:
+                lab = str(lab)
+                if lab not in merged:
+                    merged.append(lab)
+            labels = tuple(merged)
+        else:
+            labels = self._labels
         kernel = Span(name=label or phase, kind="kernel", phase=phase,
                       start=placed, duration=seconds,
                       device_id=device_id, flops=flops,
                       bytes_moved=bytes_moved,
                       memory_high_water=memory_high_water,
-                      stream=stream, accounted=accounted,
-                      labels=tuple(merged))
-        self._step.children.append(kernel)
-        self._step.flops += flops
-        self._step.bytes_moved += bytes_moved
+                      stream=stream, accounted=accounted, labels=labels)
+        step.children.append(kernel)
         if accounted:
-            self.clock = max(self.clock, placed + seconds)
-            self.counters.setdefault(phase, PhaseCounter()).add(
-                seconds, flops, bytes_moved)
-            self.peak_memory_bytes = max(self.peak_memory_bytes,
-                                         int(memory_high_water))
+            step.flops += flops
+            step.bytes_moved += bytes_moved
+            end = placed + seconds
+            if end > self.clock:
+                self.clock = end
+            counter = self.counters.get(phase)
+            if counter is None:
+                counter = self.counters[phase] = PhaseCounter()
+            counter.add(seconds, flops, bytes_moved)
+            high_water = int(memory_high_water)
+            if high_water > self.peak_memory_bytes:
+                self.peak_memory_bytes = high_water
         return kernel
 
     def _close_step(self) -> None:
