@@ -9,9 +9,18 @@ Instances are memoized in a small per-process LRU keyed on
 ``(name, m, n, seed)`` — sweep grids hit the same few matrices dozens
 of times and generation (a Haar-random orthogonal factor per side)
 dominates their host wall-clock.  Only integer seeds are cached (a
-Generator carries hidden state); cache hits return a fresh copy so
-callers can mutate freely.  Tune with ``REPRO_MATRIX_CACHE`` (entry
-count, 0 disables).
+Generator carries hidden state).  Tune with ``REPRO_MATRIX_CACHE``
+(entry count, 0 disables).
+
+What a caller gets back depends on one keyword:
+
+- by default, a private writable copy, so callers can mutate freely
+  and a write never reaches the cache or another caller;
+- with ``readonly=True``, a read-only view of the cached entry itself,
+  shared by every such caller and free of the copy (15 MB for a
+  3000 x 640 matrix).  A write raises ``ValueError``.  When the cache
+  is disabled, the seed is a Generator, or the entry is over the size
+  cap, it is a freshly generated array, also read-only.
 """
 
 from __future__ import annotations
@@ -140,7 +149,7 @@ def list_matrices() -> Tuple[str, ...]:
 
 
 def get_matrix(name: str, m: Optional[int] = None, n: Optional[int] = None,
-               seed: RngLike = 0) -> np.ndarray:
+               seed: RngLike = 0, *, readonly: bool = False) -> np.ndarray:
     """Instantiate a registered test matrix.
 
     Parameters
@@ -154,6 +163,10 @@ def get_matrix(name: str, m: Optional[int] = None, n: Optional[int] = None,
     seed:
         PRNG seed; defaults to 0 for reproducible benches.  Integer
         seeds hit the LRU cache; Generator instances always regenerate.
+    readonly:
+        Return a read-only array instead of a private writable copy:
+        a view of the cached entry when there is one, so repeat callers
+        share one buffer and pay no copy.
     """
     try:
         spec = TABLE1_SPECS[name]
@@ -166,20 +179,30 @@ def get_matrix(name: str, m: Optional[int] = None, n: Optional[int] = None,
     nn = n if n is not None else pn
     capacity = _cache_capacity()
     if capacity == 0 or not isinstance(seed, (int, np.integer)):
-        return spec.factory(mm, nn, seed)
+        return _uncached(spec.factory(mm, nn, seed), readonly)
     key = (name, int(mm), int(nn), int(seed))
     cached = _CACHE.get(key)
     if cached is not None:
         _CACHE.move_to_end(key)
         _CACHE_STATS["hits"] += 1
-        return cached.copy()
-    _CACHE_STATS["misses"] += 1
-    a = spec.factory(mm, nn, seed)
-    if a.nbytes <= _CACHE_MAX_ENTRY_BYTES:
-        _CACHE[key] = a
+    else:
+        _CACHE_STATS["misses"] += 1
+        a = spec.factory(mm, nn, seed)
+        if a.nbytes > _CACHE_MAX_ENTRY_BYTES:
+            return _uncached(a, readonly)
+        # Entries are frozen, and readers get a view: a view of a
+        # read-only base cannot be made writable again.
+        a.flags.writeable = False
+        cached = _CACHE[key] = a
         while len(_CACHE) > capacity:
             _CACHE.popitem(last=False)
-        return a.copy()
+    return cached.view() if readonly else cached.copy()
+
+
+def _uncached(a: np.ndarray, readonly: bool) -> np.ndarray:
+    """A freshly generated matrix nobody else holds."""
+    if readonly:
+        a.flags.writeable = False
     return a
 
 

@@ -3,9 +3,9 @@
 The paper's central observation — random sampling turns low-rank
 approximation into a few large GEMMs that run at near-peak GPU
 throughput — cuts the other way for a *service*: many small concurrent
-sketch requests each pay kernel-dispatch and matrix-materialization
-overheads that one big GEMM would amortize.  The batcher therefore
-stacks the Gaussian sampling operators of compatible queued requests::
+sketch requests each pay a kernel dispatch and a pass over ``A`` that
+one big GEMM would amortize.  The batcher therefore stacks the
+Gaussian sampling operators of compatible queued requests::
 
     [Omega_1]           [B_1]
     [Omega_2]  @  A  =  [B_2]      one GEMM, row-block outputs
@@ -206,7 +206,9 @@ def run_jobs(plan: BatchPlan,
     the GEMM, its pipeline never runs).  A skip outcome is the
     ServeError the service will surface; any exception a request's math
     raises is captured as that request's outcome without poisoning its
-    batch-mates.
+    batch-mates.  An exception in the part the riders share —
+    materializing ``A``, the Omega draws, the stacked GEMM — propagates
+    to the caller; the service fails every rider still waiting with it.
 
     ``on_result`` fires the moment each request's outcome is known
     (still on the worker thread) — the service bridges it back to the

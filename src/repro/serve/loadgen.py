@@ -58,8 +58,8 @@ class LoadSpec:
     matrix_seed: int = 0
     #: Rank jitter bounds (inclusive); mixed ranks exercise the
     #: variable-height Omega stacking.  Smoke defaults keep the
-    #: per-rider pipeline light so the amortized per-batch costs
-    #: (matrix materialization, dispatch) dominate the margin.
+    #: per-rider pipeline light so the amortized per-batch cost (one
+    #: worker dispatch per plan) dominates the margin.
     rank_min: int = 4
     rank_max: int = 8
     oversampling: int = 4

@@ -58,7 +58,9 @@ class MatrixRef:
     (the gallery generators are seeded), so two requests with equal
     refs operate on the *same* matrix — the precondition for sharing a
     batched sketch GEMM.  ``materialize`` resolves through the
-    registry's LRU, so a batch pays one generation for all its riders.
+    registry's LRU, so a batch pays one generation for all its riders,
+    and every request shares that one read-only array instead of
+    copying it.
     """
 
     name: str
@@ -79,8 +81,10 @@ class MatrixRef:
 
     @shaped(returns=("m", "n"))
     def materialize(self) -> np.ndarray:
-        """Instantiate the matrix (registry LRU behind the scenes)."""
-        return get_matrix(self.name, m=self.m, n=self.n, seed=self.seed)
+        """The matrix as a read-only array (a view of the registry's
+        LRU entry, so no copy is made); a write raises ``ValueError``."""
+        return get_matrix(self.name, m=self.m, n=self.n, seed=self.seed,
+                          readonly=True)
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,17 @@
 together.  ``submit()`` passes the admission controller, enqueues a
 job, and awaits its future under the request's deadline.  A single
 batch-loop task drains the queue: the first job opens a *batch window*
-(:attr:`ServeConfig.batch_window_s`) during which further queued jobs
-are collected, the window's requests are grouped by compatibility
-(:func:`repro.serve.batcher.plan_batches`), and each plan runs on the
-worker thread via :func:`repro.serve.batcher.run_jobs`.  Deadlines are
-enforced at every stage — queued, inside the window, and between the
-stacked GEMM and a request's own pipeline — and every shed or expired
-request is a typed :mod:`repro.errors` rejection plus a counter bump.
+(:attr:`ServeConfig.batch_window_s`, timed from that job's arrival)
+during which further queued jobs are collected, the window's requests
+are grouped by compatibility (:func:`repro.serve.batcher.plan_batches`),
+and each plan runs on the worker thread via
+:func:`repro.serve.batcher.run_jobs`.  The loop collects the next
+window while the previous one runs, so the worker goes from one window
+to the next without idling; at most one window is in flight, and its
+plans run one at a time in FIFO order.  Deadlines are enforced at every
+stage — queued, inside the window, and between the stacked GEMM and a
+request's own pipeline — and every shed or expired request is a typed
+:mod:`repro.errors` rejection plus a counter bump.
 
 The math itself is synchronous NumPy; one worker thread (the default)
 keeps the span recorder single-writer so the service can export one
@@ -43,11 +47,16 @@ __all__ = ["ServeConfig", "LowRankService"]
 class ServeConfig:
     """Service knobs (see ``docs/serving.md`` for the tuning guide)."""
 
-    #: Queued-but-undispatched requests beyond which submissions shed.
+    #: Queued-but-undispatched requests beyond which submissions shed
+    #: (jobs the batch loop holds in a window not yet handed to the
+    #: worker count as queued).
     max_queue_depth: int = 64
     #: Batch window: how long the batcher waits, after the first job of
-    #: a cycle arrives, for more coalescible work.  0 disables waiting
-    #: (each drain cycle still batches whatever is already queued).
+    #: a cycle arrives, for more coalescible work.  The window runs
+    #: while the previous batch is still on the worker, so a job that
+    #: waited that long already is dispatched as soon as the worker is
+    #: free.  0 disables waiting (each drain cycle still batches
+    #: whatever is already queued).
     batch_window_s: float = 0.01
     #: Hard cap on requests sharing one stacked GEMM.
     max_batch: int = 32
@@ -142,6 +151,9 @@ class LowRankService:
         # Depth is already capped upstream: AdmissionController rejects
         # beyond max_queue_depth before anything reaches this queue.
         self._queue: "asyncio.Queue" = asyncio.Queue()  # repro: noqa RS125
+        #: The window the batch loop is collecting or holding until the
+        #: worker is free: off the queue, not yet dispatched.
+        self._held: List[_Job] = []
         self._pool: Optional[ThreadPoolExecutor] = None
         self._loop_task: Optional[asyncio.Task] = None
         self._batch_ids = itertools.count()
@@ -160,7 +172,11 @@ class LowRankService:
         return self
 
     async def close(self) -> None:
-        """Stop admitting, drain queued work, shut the worker down."""
+        """Stop admitting, drain queued work, shut the worker down.
+
+        Queued jobs, the window the loop holds and the window on the
+        worker all finish before this returns.
+        """
         self.admission.close()
         if self._loop_task is not None:
             await self._queue.put(_STOP)
@@ -185,7 +201,7 @@ class LowRankService:
             raise ServiceClosedError(
                 "service not started; use 'async with LowRankService()'",
                 request_id=request.request_id)
-        self.admission.admit(request, self._queue.qsize())
+        self.admission.admit(request, self._depth())
         self.counters.note_submitted()
         loop = asyncio.get_running_loop()
         now = time.monotonic()
@@ -194,7 +210,7 @@ class LowRankService:
                    deadline_t=None if deadline_s is None
                    else now + deadline_s)
         await self._queue.put(job)
-        self.counters.note_depth(self._queue.qsize())
+        self.counters.note_depth(self._depth())
         try:
             if job.deadline_t is None:
                 return await job.future
@@ -216,13 +232,21 @@ class LowRankService:
             raise
 
     # -- batch loop --------------------------------------------------------
+    def _depth(self) -> int:
+        """Queued-but-undispatched jobs: the queue plus the held window."""
+        return self._queue.qsize() + len(self._held)
+
     async def _collect_window(self, first: _Job) -> List[_Job]:
-        """The batch window: gather coalescible work behind ``first``."""
-        jobs = [first]
-        window = self.config.batch_window_s
+        """The batch window: gather coalescible work behind ``first``.
+
+        The window closes ``batch_window_s`` after ``first`` arrived,
+        not after the loop picked it up, so time spent queued behind a
+        running batch counts toward it.
+        """
+        self._held = jobs = [first]
         if not self.config.batching:
             return jobs
-        deadline = time.monotonic() + window
+        deadline = first.enqueued_t + self.config.batch_window_s
         while len(jobs) < self.config.max_batch:
             remaining = deadline - time.monotonic()
             try:
@@ -301,12 +325,19 @@ class LowRankService:
                 self._finish_job, jobs_by_id[request_id], outcome,
                 noted_batches)
 
-        results = await loop.run_in_executor(
-            self._pool,
-            lambda: run_jobs(plan, recorder=self.recorder,
-                             default_backend=self.config.backend,
-                             skip=self._skip_verdict(jobs_by_id),
-                             on_result=on_result))
+        try:
+            results = await loop.run_in_executor(
+                self._pool,
+                lambda: run_jobs(plan, recorder=self.recorder,
+                                 default_backend=self.config.backend,
+                                 skip=self._skip_verdict(jobs_by_id),
+                                 on_result=on_result))
+        except Exception as exc:
+            # Raised outside every rider's own pipeline (materializing
+            # A, the Omega draws, the stacked GEMM): it is the outcome
+            # of each rider still waiting, and the loop keeps serving.
+            results = dict.fromkeys(
+                (req.request_id for req in plan.requests), exc)
         # Safety net: anything the callbacks missed resolves here.
         for req in plan.requests:
             job = jobs_by_id[req.request_id]
@@ -315,26 +346,39 @@ class LowRankService:
                                  noted_batches)
 
     async def _batch_loop(self) -> None:
+        running: Optional[asyncio.Task] = None
         while True:
             job = await self._queue.get()
             if job is _STOP:
                 break
             jobs = await self._collect_window(job)
-            self.counters.note_depth(self._queue.qsize())
-            live = [j for j in jobs if not j.cancelled]
-            if self.config.batching:
-                plans = plan_batches(
-                    [j.request for j in live],
-                    max_batch=self.config.max_batch,
-                    prefix=f"batch-{next(self._batch_ids)}")
-            else:
-                plans = [
-                    BatchPlan([j.request], key=j.request.batch_key,
-                              batch_id=f"solo-{next(self._batch_ids)}")
-                    for j in live]
-            jobs_by_id = {j.request.request_id: j for j in jobs}
-            for plan in plans:
-                await self._dispatch(plan, jobs_by_id)
-            for j in jobs:
-                if j.cancelled and not j.future.done():
-                    j.future.cancel()
+            self.counters.note_depth(self._depth())
+            # One window on the worker at a time keeps plans FIFO and
+            # the span recorder single-writer.
+            if running is not None:
+                await running
+            self._held = []
+            running = asyncio.get_running_loop().create_task(
+                self._run_window(jobs))
+        if running is not None:
+            await running
+
+    async def _run_window(self, jobs: List[_Job]) -> None:
+        """Plan one window and run its plans on the worker, in order."""
+        live = [j for j in jobs if not j.cancelled]
+        if self.config.batching:
+            plans = plan_batches(
+                [j.request for j in live],
+                max_batch=self.config.max_batch,
+                prefix=f"batch-{next(self._batch_ids)}")
+        else:
+            plans = [
+                BatchPlan([j.request], key=j.request.batch_key,
+                          batch_id=f"solo-{next(self._batch_ids)}")
+                for j in live]
+        jobs_by_id = {j.request.request_id: j for j in jobs}
+        for plan in plans:
+            await self._dispatch(plan, jobs_by_id)
+        for j in jobs:
+            if j.cancelled and not j.future.done():
+                j.future.cancel()

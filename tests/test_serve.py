@@ -6,21 +6,27 @@ factors a solo run of the same request produces.
 """
 
 import asyncio
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro import backends
+from repro.backends.numpy_backend import NumpyBackend
 from repro.core.random_sampling import random_sampling
 from repro.errors import (ConfigurationError, DeadlineExceededError,
                           InvalidRequestError, QueueFullError,
                           REJECTION_REASONS, ServiceClosedError)
+from repro.matrices.registry import (clear_matrix_cache, get_matrix,
+                                     matrix_cache_info)
 from repro.obs.chrome import spans_to_chrome, validate_chrome_trace
 from repro.serve import (AdmissionController, BatchPlan, DecompRequest,
                          LowRankService, MatrixRef, ResultArtifact,
                          ServeConfig, ServiceCounters, percentile,
                          plan_batches, run_jobs)
 from repro.obs.spans import SpanRecorder
+from repro.serve.service import _Job
 
 REF = MatrixRef(name="power", m=400, n=96, seed=3)
 
@@ -81,6 +87,39 @@ class TestRequestValidation:
         assert "payload" not in doc
         assert doc["version"] == 1
         assert doc["timings"]["modeled_seconds"] == 0.0
+
+
+class TestSharedMatrix:
+    def setup_method(self):
+        clear_matrix_cache()
+
+    def teardown_method(self):
+        clear_matrix_cache()
+
+    def test_materialize_shares_one_read_only_array(self):
+        a = REF.materialize()
+        hits = matrix_cache_info()["hits"]
+        b = REF.materialize()
+        assert matrix_cache_info()["hits"] == hits + 1
+        assert not a.flags.writeable and not b.flags.writeable
+        assert np.shares_memory(a, b)
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            b.flags.writeable = True
+        # The default path still hands out a private writable copy.
+        c = get_matrix(REF.name, m=REF.m, n=REF.n, seed=REF.seed)
+        assert c.flags.writeable and not np.shares_memory(a, c)
+        assert np.array_equal(a, c)
+
+    def test_materialize_without_cache(self, monkeypatch):
+        want = get_matrix(REF.name, m=REF.m, n=REF.n, seed=REF.seed)
+        clear_matrix_cache()
+        monkeypatch.setenv("REPRO_MATRIX_CACHE", "0")
+        a = REF.materialize()
+        assert not a.flags.writeable
+        assert np.array_equal(a, want)
+        assert matrix_cache_info()["entries"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -309,6 +348,160 @@ class TestServiceContracts:
                 assert a1.factors["subspace_size"] > 0
                 assert a2.factors["q_shape"] == [400, 96]
         asyncio.run(drive())
+
+
+class _RunJobsProbe:
+    """Wraps the service's ``run_jobs``: records each plan's request ids
+    with entry and exit times and the most calls ever in flight at
+    once, and sleeps ``delay`` before running the plan."""
+
+    def __init__(self, monkeypatch, delay: float = 0.0) -> None:
+        import repro.serve.service as service_mod
+        real = service_mod.run_jobs
+        self.entries, self.exits = [], []
+        self.in_flight = self.max_in_flight = 0
+        lock = threading.Lock()
+
+        def probe(plan, **kwargs):
+            ids = [r.request_id for r in plan.requests]
+            with lock:
+                self.in_flight += 1
+                self.max_in_flight = max(self.max_in_flight,
+                                         self.in_flight)
+            self.entries.append((ids, time.monotonic()))
+            try:
+                time.sleep(delay)
+                return real(plan, **kwargs)
+            finally:
+                self.exits.append((ids, time.monotonic()))
+                with lock:
+                    self.in_flight -= 1
+
+        monkeypatch.setattr(service_mod, "run_jobs", probe)
+
+
+async def _until(cond, timeout: float = 10.0) -> None:
+    t0 = time.monotonic()
+    while not cond():
+        assert time.monotonic() - t0 < timeout, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+class TestPipelinedLoop:
+    def test_window_is_timed_from_arrival(self, monkeypatch):
+        probe = _RunJobsProbe(monkeypatch, delay=0.2)
+
+        async def drive():
+            cfg = ServeConfig(batch_window_s=0.1)
+            async with LowRankService(cfg) as svc:
+                t1 = asyncio.ensure_future(svc.submit(req(seed=61)))
+                await _until(lambda: probe.entries)
+                await asyncio.sleep(0.05)  # the worker is still busy
+                t2 = asyncio.ensure_future(svc.submit(req(seed=62)))
+                await asyncio.wait_for(asyncio.gather(t1, t2), 10)
+        asyncio.run(drive())
+        # The second request's window closed while the first batch was
+        # running, so it reaches the worker the moment the worker frees
+        # instead of a full window later.
+        (_, freed), (_, entered) = probe.exits[0], probe.entries[1]
+        assert entered - freed < 0.05
+
+    def test_window_counts_time_already_queued(self):
+        async def drive():
+            svc = LowRankService(ServeConfig(batch_window_s=0.5))
+            job = _Job(req(), asyncio.get_running_loop().create_future(),
+                       enqueued_t=time.monotonic() - 0.5, deadline_t=None)
+            t0 = time.monotonic()
+            jobs = await svc._collect_window(job)
+            return jobs, time.monotonic() - t0
+        jobs, waited = asyncio.run(drive())
+        assert len(jobs) == 1 and waited < 0.25
+
+    def test_one_window_in_flight_in_fifo_order(self, monkeypatch):
+        probe = _RunJobsProbe(monkeypatch, delay=0.03)
+
+        async def drive():
+            # Two worker threads, so only the loop itself can keep a
+            # second window off the worker while one is running.
+            cfg = ServeConfig(batch_window_s=0.02, max_batch=3, workers=2)
+            async with LowRankService(cfg) as svc:
+                reqs, tasks = [], []
+                for i in range(10):
+                    reqs.append(req(rank=8 + i % 4, seed=100 + i))
+                    tasks.append(asyncio.ensure_future(
+                        svc.submit(reqs[-1])))
+                    await asyncio.sleep(0.012)
+                await asyncio.wait_for(asyncio.gather(*tasks), 20)
+                return reqs
+        reqs = asyncio.run(drive())
+        assert probe.max_in_flight == 1
+        assert len(probe.entries) > 1
+        assert [rid for ids, _ in probe.entries for rid in ids] == \
+            [r.request_id for r in reqs]
+
+    def test_close_drains_held_and_in_flight_windows(self, monkeypatch):
+        probe = _RunJobsProbe(monkeypatch, delay=0.3)
+
+        async def drive():
+            outer = asyncio.all_tasks()
+            svc = LowRankService(ServeConfig(batch_window_s=0.05))
+            await svc.start()
+            first = asyncio.ensure_future(svc.submit(req(seed=71)))
+            await _until(lambda: probe.entries)
+            held = asyncio.ensure_future(svc.submit(req(seed=72)))
+            await asyncio.sleep(0.1)  # its window has closed
+            assert len(probe.entries) == 1 and not probe.exits
+            # Awaited directly (the whole drive is under a timeout), so
+            # the snapshot below is taken the moment close() returns.
+            await svc.close()
+            # Only the two submitters, woken by their resolved futures,
+            # may still be unfinished.
+            pending = asyncio.all_tasks() - outer - {first, held}
+            completed = svc.counters.completed
+            arts = await asyncio.wait_for(asyncio.gather(first, held), 1)
+            return arts, pending, completed
+        arts, pending, completed = asyncio.run(
+            asyncio.wait_for(drive(), 20))
+        assert all(isinstance(a, ResultArtifact) for a in arts)
+        assert len(probe.exits) == 2
+        assert pending == set() and completed == 2
+
+    def test_gemm_fault_fails_its_batch_and_the_loop_keeps_serving(
+            self, monkeypatch):
+        fault = RuntimeError("injected gemm fault")
+        gemms = [0]
+
+        class FlakyBackend(NumpyBackend):
+            name = "flaky"
+
+            def _gemm(self, a, b):
+                gemms[0] += 1
+                if gemms[0] == 2:  # the stacked GEMM's second row block
+                    raise fault
+                return super()._gemm(a, b)
+
+        monkeypatch.setitem(backends.BACKENDS, "flaky", FlakyBackend)
+
+        async def drive():
+            cfg = ServeConfig(batch_window_s=0.05, max_batch=8)
+            svc = LowRankService(cfg)
+            await svc.start()
+            riders = [req(rank=8 + i, seed=80 + i, backend="flaky")
+                      for i in range(3)]
+            outs = await asyncio.wait_for(asyncio.gather(
+                *(svc.submit(r) for r in riders),
+                return_exceptions=True), 10)
+            after = req(rank=10, seed=90, backend="flaky")
+            art = await asyncio.wait_for(svc.submit(after), 10)
+            await asyncio.wait_for(svc.close(), 10)
+            return svc, outs, after, art
+        svc, outs, after, art = asyncio.run(drive())
+        assert all(out is fault for out in outs)
+        assert svc.counters.completed == 1
+        solo = random_sampling(REF.materialize(), after.sampling_config())
+        assert np.array_equal(art.payload.q, solo.q)
+        assert np.array_equal(art.payload.r, solo.r)
+        assert np.array_equal(art.payload.perm, solo.perm)
 
 
 # ----------------------------------------------------------------------
