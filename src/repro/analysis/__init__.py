@@ -36,16 +36,11 @@ RS118   timed ``charge``/``submit`` reachable from a scope with no
         executor/scheduler accounting
 RS119   RNG not derived from ``SamplingConfig.seed`` reaches a
         sampling draw
-RS121   charged kernel dimensions disagree with the symbolic shapes
-        of the operands actually multiplied
 RS122   ``submit``/``submit_group`` race annotation is incomplete
         (missing/empty ``writes=``, or a derived read such as
         ``"B@g0"`` whose base buffer is never written)
 RS123   math on a path where the charge is conditional (uncharged
-        or double-charged branch in a timed scope)
-RS124   asymptotic drift: an executor's statically interpreted
-        per-phase FLOP total disagrees with the Figure 5 closed
-        forms in :mod:`repro.perfmodel.costs` at reference dims
+        or double-charged branch in a timed scope; per file)
 RS125   async hygiene in ``repro.serve``: blocking call inside an
         ``async def``, un-awaited coroutine, unbounded queue
 ======  =====================================================
@@ -56,11 +51,13 @@ residency family (RS115-RS119) is *project-wide*: the engine builds a
 symbol table and call graph over every file under analysis and runs a
 forward abstract interpretation on the host/device residency lattice
 (:mod:`repro.analysis.dataflow`), so a value produced in one module
-and misused in another is one finding at the sink.  The shape/cost
-family (RS121-RS124) rides the same symbol table with a symbolic
-shape lattice (:mod:`repro.analysis.shapes`) seeded from ``@shaped``
-declarations, and cross-checks the charged cost model against the
-paper's closed forms (``repro-bench analyze --audit-costs``).
+and misused in another is one finding at the sink.
+
+Charged kernel dimensions are not a static concern: the executor ops
+are built on charged primitives that read them from their operands,
+and ``repro-bench analyze --audit-costs`` (:mod:`repro.analysis.audit`)
+checks the per-phase flops an instrumented run charges against the
+paper's Figure 5 closed forms.
 
 Run ``python -m repro.analysis src/repro`` (or ``python -m repro.cli
 analyze``); see ``docs/static_analysis.md`` for the rule reference,
@@ -76,7 +73,7 @@ when an analysis actually runs.
 
 from __future__ import annotations
 
-from .annotations import allow_untimed_math, residency, shaped
+from .annotations import allow_untimed_math, residency
 from .findings import (EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS,
                        AnalysisFinding)
 
@@ -84,7 +81,6 @@ __all__ = [
     "AnalysisFinding",
     "allow_untimed_math",
     "residency",
-    "shaped",
     "analyze_paths",
     "main",
     "EXIT_CLEAN",

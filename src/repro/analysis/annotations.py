@@ -14,8 +14,7 @@ from typing import Callable, TypeVar
 from ..errors import ConfigurationError
 
 __all__ = ["allow_untimed_math", "ALLOW_UNTIMED_MATH",
-           "residency", "RESIDENCY", "RESIDENCY_VALUES",
-           "shaped", "SHAPED"]
+           "residency", "RESIDENCY", "RESIDENCY_VALUES"]
 
 _F = TypeVar("_F", bound=Callable)
 
@@ -25,9 +24,6 @@ ALLOW_UNTIMED_MATH = "allow_untimed_math"
 #: The decorator name the residency dataflow pass (RS115-RS119) looks
 #: for.
 RESIDENCY = "residency"
-
-#: The decorator name the symbolic shape pass (RS121-RS124) looks for.
-SHAPED = "shaped"
 
 #: Legal residency declarations.  ``device`` means "lives in simulated
 #: device memory until explicitly downloaded"; ``host`` means "safe for
@@ -101,55 +97,6 @@ def residency(returns=None, params=None):
     def _mark(func: _F) -> _F:
         func.__residency__ = {"returns": returns,
                               "params": dict(params or {})}
-        return func
-
-    return _mark
-
-
-def _valid_shape_decl(value) -> bool:
-    if isinstance(value, str):
-        return bool(value.strip())
-    if isinstance(value, (tuple, list)):
-        return (len(value) > 0
-                and all(isinstance(d, str) and d.strip() for d in value))
-    return False
-
-
-def shaped(returns=None, params=None):
-    """Declare the symbolic shapes of a callable's arrays.
-
-    The symbolic shape pass (rules RS121-RS124, see
-    :mod:`repro.analysis.shapes`) seeds its abstract interpretation at
-    these declarations.  Dimensions are *symbols* — the paper's
-    ``m, n, k, l, q`` — and the same symbol used twice inside one
-    declaration asserts the dimensions are equal::
-
-        @shaped(params={"omega": ("l", "m"), "a": ("m", "n")},
-                returns=("l", "n"))
-        def sample_gemm(self, omega, a):
-            ...
-
-    ``params`` maps parameter names to a shape tuple (for arrays) or a
-    single symbol string (for scalar dimension arguments such as
-    ``l``); ``returns`` declares the result shape the same way.  Like
-    :func:`residency` it is a runtime no-op that records the
-    declaration on ``__shaped__``; the analyzer reads it syntactically,
-    so apply it literally with constant strings.  It is also a promise
-    the analyzer checks: a declared return shape the body's inferred
-    shape definitely contradicts is an RS121 finding.
-    """
-    declared = dict(params or {})
-    if returns is not None:
-        declared["return"] = returns
-    for name, value in declared.items():
-        if not _valid_shape_decl(value):
-            raise ConfigurationError(
-                f"shaped({name}={value!r}): expected a dimension symbol "
-                f"or a non-empty tuple of dimension symbols")
-
-    def _mark(func: _F) -> _F:
-        func.__shaped__ = {"returns": returns,
-                           "params": dict(params or {})}
         return func
 
     return _mark

@@ -20,12 +20,7 @@ it (directly or not), while files outside its dependent cone replay
 from cache with zero re-parses.  The known precision limit is shared
 with the dataflow pass itself: name-matched method candidates can
 cross files with no import edge, so a rename in an unrelated module
-conservatively requires a cold run (``--no-cache``) to observe.  The
-shape pass shares the limit through RS124: an executor in ``gpu/``
-is checked against closed forms in ``perfmodel/costs.py`` it never
-imports, so an edit to a cost function re-anchors RS124 findings
-correctly only for files inside the cost module's dependent cone —
-after editing ``costs.py``, a cold run re-judges everything.
+conservatively requires a cold run (``--no-cache``) to observe.
 
 The cache is a local build artifact (gitignored); entries are plain
 pickles, so never point ``--cache-dir`` at untrusted data.
@@ -46,7 +41,7 @@ __all__ = ["AnalysisCache", "DEFAULT_CACHE_DIR", "content_hash",
 #: Conventional location, relative to the invocation directory.
 DEFAULT_CACHE_DIR = ".repro-analysis-cache"
 
-_VERSION = 1
+_VERSION = 2
 
 
 def content_hash(data: bytes) -> str:

@@ -31,7 +31,7 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .annotations import ALLOW_UNTIMED_MATH, RESIDENCY, SHAPED
+from .annotations import ALLOW_UNTIMED_MATH, RESIDENCY
 
 __all__ = [
     "FunctionInfo",
@@ -99,46 +99,11 @@ def _residency_decl(dec: Optional[ast.Call]) -> Dict[str, str]:
     return decl
 
 
-def _shape_value(node: ast.expr):
-    """Decode one ``@shaped`` value: a symbol string or symbol tuple."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, (ast.Tuple, ast.List)):
-        dims = []
-        for elt in node.elts:
-            if not (isinstance(elt, ast.Constant)
-                    and isinstance(elt.value, str)):
-                return None
-            dims.append(elt.value)
-        return tuple(dims)
-    return None
-
-
-def _shaped_decl(dec: Optional[ast.Call]) -> Dict[str, object]:
-    """Decode ``@shaped(returns=..., params={...})`` keywords."""
-    decl: Dict[str, object] = {}
-    if dec is None:
-        return decl
-    for kw in dec.keywords:
-        if kw.arg == "returns":
-            value = _shape_value(kw.value)
-            if value is not None:
-                decl["return"] = value
-        elif kw.arg == "params" and isinstance(kw.value, ast.Dict):
-            for k, v in zip(kw.value.keys, kw.value.values):
-                if isinstance(k, ast.Constant) and isinstance(k.value, str):
-                    value = _shape_value(v)
-                    if value is not None:
-                        decl[k.value] = value
-    return decl
-
-
 class FunctionInfo:
     """One function or method definition plus decoded decorators."""
 
     __slots__ = ("name", "qualname", "module", "node", "params",
-                 "class_name", "untimed", "residency", "shaped",
-                 "lineno", "owner")
+                 "class_name", "untimed", "residency", "lineno", "owner")
 
     def __init__(self, node: ast.AST, module: str,
                  class_name: Optional[str] = None):
@@ -155,15 +120,12 @@ class FunctionInfo:
             + [a.arg for a in args.args])
         self.untimed = False
         self.residency: Dict[str, str] = {}
-        self.shaped: Dict[str, object] = {}
         for dec in node.decorator_list:
             name, dec_call = _decorator_call(dec)
             if name == ALLOW_UNTIMED_MATH:
                 self.untimed = True
             elif name == RESIDENCY:
                 self.residency = _residency_decl(dec_call)
-            elif name == SHAPED:
-                self.shaped = _shaped_decl(dec_call)
 
     @property
     def is_method(self) -> bool:

@@ -93,11 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the rule ids and summaries, then "
                              "exit")
     parser.add_argument("--audit-costs", action="store_true",
-                        help="three-way cost audit at the fig15 "
-                             "configuration: RS124's static per-phase "
-                             "FLOP totals vs an instrumented symbolic "
-                             "run vs the Figure 5 closed forms "
-                             "(exit 1 on drift)")
+                        help="cost audit: per-phase FLOPs an "
+                             "instrumented symbolic run of the imported "
+                             "repro package charges vs the Figure 5 "
+                             "closed forms, at the fig15 and two "
+                             "reference points (exit 1 on drift); it "
+                             "measures the imported package and ignores "
+                             "the positional paths")
     return parser
 
 
@@ -113,7 +115,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.audit_costs:
         from .audit import main as audit_main
-        return audit_main(args.paths)
+        return audit_main()
 
     registry = all_rules()
     if args.list_rules:

@@ -229,7 +229,7 @@ def all_rules() -> Dict[str, Type[BaseChecker]]:
     """Rule id -> checker class, loading the built-in rule modules."""
     from . import (rules_backends, rules_bench,  # noqa: F401 (side effect)
                    rules_executor, rules_hygiene, rules_residency,
-                   rules_shapes, rules_streams, rules_tune)
+                   rules_streams, rules_tune)
     return dict(sorted(_REGISTRY.items()))
 
 
@@ -306,11 +306,6 @@ def _needs_project(registry, wanted: List[str]) -> bool:
                for r in wanted)
 
 
-def _needs_shapes(registry, wanted: List[str]) -> bool:
-    return any(getattr(registry[r], "requires_shapes", False)
-               for r in wanted)
-
-
 def _raw_to_tuples(raws) -> List[tuple]:
     return [(r.rule, r.relpath, r.line, r.col, r.message, r.context)
             for r in raws]
@@ -373,7 +368,6 @@ def run_analysis(paths: Sequence[Path],
     records = [_FileRecord(p, root) for p in iter_python_files(paths)]
     stats.files = len(records)
     needs_project = _needs_project(registry, wanted)
-    needs_shapes = _needs_shapes(registry, wanted)
 
     # -- cache validity --------------------------------------------------
     hash_by_relpath = {rec.relpath: rec.hash for rec in records}
@@ -397,10 +391,10 @@ def run_analysis(paths: Sequence[Path],
     to_analyze = [rec for rec in records if not rec.valid]
     stats.analyzed = len(to_analyze)
 
-    # -- project passes (RS115-RS119 residency, RS121-RS124 shapes) ------
+    # -- project pass (RS115-RS119 residency) -----------------------------
     table = None
     raw_by_file: Dict[str, List] = {}
-    if (needs_project or needs_shapes) and to_analyze:
+    if needs_project and to_analyze:
         from .callgraph import ModuleInfo, SymbolTable
         infos = []
         for rec in records:
@@ -417,15 +411,8 @@ def run_analysis(paths: Sequence[Path],
                                              rec.ctx.tree)
             infos.append(rec.module_info)
         table = SymbolTable(infos)
-        raws = []
-        if needs_project:
-            from .dataflow import ProjectAnalysis
-            raws.extend(ProjectAnalysis(table).run().findings)
-        if needs_shapes:
-            from .shapes import ShapeAnalysis
-            raws.extend(ShapeAnalysis(table).run().findings)
-        raws.sort(key=lambda f: (f.relpath, f.line, f.rule, f.col))
-        for raw in raws:
+        from .dataflow import ProjectAnalysis
+        for raw in ProjectAnalysis(table).run().findings:
             raw_by_file.setdefault(raw.relpath, []).append(raw)
 
     # -- per-file rules ---------------------------------------------------

@@ -1,11 +1,12 @@
-"""Executor-contract rules: RS101 untimed-math, RS102 unknown-phase,
-RS103 symbolic-unsafe.
+"""Executor-contract rules: RS101 untimed-math, RS123 uncharged-branch,
+RS102 unknown-phase, RS103 symbolic-unsafe.
 
-These three rules encode the simulated-GPU executor contract that the
+These rules encode the simulated-GPU executor contract that the
 reproduction's performance claims rest on:
 
 - every FLOP on the modeled device path must be charged through an
-  executor operation (RS101);
+  executor operation (RS101), on every path through a timed function
+  (RS123);
 - every charge must land on one of the paper's seven phase-legend tags
   (RS102);
 - every code path reachable with a :class:`repro.gpu.SymArray` must
@@ -15,12 +16,14 @@ reproduction's performance claims rest on:
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set, Tuple
+import re
+from typing import List, Optional, Sequence, Set, Tuple
 
-from .engine import BaseChecker, register
+from .engine import BaseChecker, ModuleContext, register
 
-__all__ = ["UntimedMathChecker", "UnknownPhaseChecker",
-           "SymbolicUnsafeChecker", "UNTIMED_MATH_SCOPES"]
+__all__ = ["UntimedMathChecker", "UnchargedBranchChecker",
+           "UnknownPhaseChecker", "SymbolicUnsafeChecker",
+           "UNTIMED_MATH_SCOPES", "in_timed_scope"]
 
 #: Path fragments (posix) where RS101 is enforced.  Algorithm code in
 #: ``repro/core`` must route math through an executor; the executor
@@ -39,6 +42,24 @@ def dotted_name(node: ast.expr) -> str:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return ""
+
+
+def in_timed_scope(ctx: ModuleContext) -> bool:
+    """True for modules whose math is billed to the modeled clock:
+    anything under ``repro/gpu/`` or importing :mod:`repro.gpu.streams`
+    (or names from :mod:`repro.gpu`)."""
+    if "repro/gpu/" in ctx.relpath:
+        return True
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("repro.gpu.streams")
+                   for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("repro.gpu.streams") \
+                    or node.module == "repro.gpu":
+                return True
+    return False
 
 
 def _phases() -> Tuple[str, ...]:
@@ -91,6 +112,147 @@ class UntimedMathChecker(BaseChecker):
                                 "executor op so the FLOPs are charged, or "
                                 "mark the function @allow_untimed_math")
         self.generic_visit(node)
+
+
+#: Call leaves that put modeled time on the clock (RS123's charge
+#: events): the ``_t_*`` timing hooks and the device/scheduler calls.
+_T_HOOK = re.compile(r"^_t_[a-z0-9_]+$")
+_CHARGE_LEAVES = {"submit", "submit_group", "charge",
+                  "_charge_all", "_charge_comm", "_local_gemm"}
+#: Backend methods that are GEMM-class math.
+_BACKEND_MATH = {"gemm", "syrk", "trsm", "matmul"}
+
+
+def _is_charge(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Attribute):
+        leaf = node.func.attr
+        return bool(_T_HOOK.match(leaf)) or leaf in _CHARGE_LEAVES
+    return dotted_name(node.func) in ("submit", "submit_group")
+
+
+def _is_math(node: ast.AST) -> bool:
+    """GEMM-class math: ``x @ y``, ``_mm(x, y)``, ``<...>.backend.gemm``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    if dotted_name(node.func) == "_mm":
+        return True
+    return (isinstance(node.func, ast.Attribute)
+            and node.func.attr in _BACKEND_MATH
+            and dotted_name(node.func.value).split(".")[-1] == "backend")
+
+
+def _first_math(stmts: Sequence[ast.stmt]) -> Optional[ast.AST]:
+    for stmt in stmts:
+        for node in ast.walk(stmt):
+            if _is_math(node):
+                return node
+    return None
+
+
+def _contains_charge(stmts: Sequence[ast.stmt]) -> bool:
+    return any(_is_charge(node)
+               for stmt in stmts for node in ast.walk(stmt))
+
+
+@register
+class UnchargedBranchChecker(BaseChecker):
+    """RS123: uncharged or double-charged execution paths.
+
+    Inside timed scopes (``repro/gpu/`` or anything importing
+    ``repro.gpu.streams``): GEMM-class math that is reachable both with
+    and without a preceding charge event (a ``_t_*`` hook, ``charge``,
+    ``submit``/``submit_group`` or a charging helper), and conditionals
+    whose both arms compute math while only one arm charges.  Either
+    way some path's seconds never reach — or reach twice — the modeled
+    timeline.  Each function body is walked once, tracking the fewest
+    and the most charges any path has issued so far: a loop body may
+    run zero times, and an ``if`` joins its arms.
+    """
+
+    rule = "RS123"
+    summary = ("math reachable on a path whose kernel charges differ "
+               "from its sibling path")
+
+    def run(self):
+        if not in_timed_scope(self.ctx):
+            return self.findings
+        return super().run()
+
+    def handle_function(self, node) -> None:
+        self._lo = self._hi = 0
+        self._block(node.body)
+
+    def _block(self, stmts: Sequence[ast.stmt]) -> None:
+        for stmt in stmts:
+            self._stmt(stmt)
+
+    def _stmt(self, node: ast.stmt) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            return  # nested scopes are walked on their own
+        if isinstance(node, ast.If):
+            self._expr(node.test)
+            lo, hi = self._lo, self._hi
+            self._block(node.body)
+            body_lo, body_hi = self._lo, self._hi
+            self._lo, self._hi = lo, hi
+            self._block(node.orelse)
+            self._lo = min(body_lo, self._lo)
+            self._hi = max(body_hi, self._hi)
+            self._check_arms(node)
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            self._expr(node.test if isinstance(node, ast.While)
+                       else node.iter)
+            lo = self._lo
+            self._block(node.body)
+            self._block(node.orelse)
+            self._lo = lo  # the body may run zero times
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                self._expr(item.context_expr)
+            self._block(node.body)
+        elif isinstance(node, ast.Try):
+            self._block(node.body)
+            for handler in node.handlers:
+                self._block(handler.body)
+            self._block(node.orelse)
+            self._block(node.finalbody)
+        else:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.expr):
+                    self._expr(child)
+
+    def _expr(self, node: ast.expr) -> None:
+        """Post-order, so a call's arguments count before the call."""
+        for child in ast.iter_child_nodes(node):
+            self._expr(child)
+        if _is_charge(node):
+            self._lo += 1
+            self._hi += 1
+        elif _is_math(node) and self._lo == 0 and self._hi > 0:
+            self.emit(node, "GEMM-class math reachable both with and "
+                            "without a preceding kernel charge; on the "
+                            "uncharged path its seconds never reach the "
+                            "modeled timeline")
+
+    def _check_arms(self, node: ast.If) -> None:
+        """Both arms compute, only one charges."""
+        body_math = _first_math(node.body)
+        else_math = _first_math(node.orelse)
+        if body_math is None or else_math is None:
+            return
+        body_charges = _contains_charge(node.body)
+        if body_charges == _contains_charge(node.orelse):
+            return
+        self.emit(else_math if body_charges else body_math,
+                  "both arms of this conditional compute GEMM-class math "
+                  "but only one arm charges the kernel model; the "
+                  "uncharged arm's seconds vanish from the modeled "
+                  "timeline")
 
 
 @register

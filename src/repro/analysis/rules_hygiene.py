@@ -1,5 +1,6 @@
 """Repo-hygiene rules: RS104 error-taxonomy, RS105 nondeterministic-rng,
-RS106 missing-``__all__`` / export drift, RS113 stale suppressions.
+RS106 missing-``__all__`` / export drift, RS113 stale suppressions,
+RS125 async hygiene in the serve layer.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from .findings import AnalysisFinding
 from .rules_executor import dotted_name
 
 __all__ = ["ErrorTaxonomyChecker", "NondeterministicRngChecker",
-           "ExportDriftChecker", "StaleSuppressionChecker"]
+           "ExportDriftChecker", "StaleSuppressionChecker",
+           "AsyncHygieneChecker"]
 
 
 @register
@@ -262,3 +264,109 @@ class StaleSuppressionChecker(BaseChecker):
                         "add RS113 to keep it deliberately)",
                 context="<module>"))
         return self.findings
+
+
+# ---------------------------------------------------------------------------
+# RS125: async hygiene in the serve layer
+# ---------------------------------------------------------------------------
+
+#: Call leaves that block the event loop outright.
+_BLOCKING_LEAVES = {"run_jobs", "check_call", "check_output", "result"}
+#: Dotted prefixes whose calls are synchronous by construction.
+_BLOCKING_PREFIXES = ("time.sleep", "subprocess.", "np.linalg.",
+                      "numpy.linalg.")
+
+
+@register
+class AsyncHygieneChecker(BaseChecker):
+    """RS125: event-loop hazards in async code.
+
+    Three shapes, all confined to files that define ``async def``
+    coroutines (in practice the ``repro.serve`` layer):
+
+    - a blocking call (``time.sleep``, ``subprocess.*``, ``run_jobs``,
+      ``Future.result()``, ``Executor.shutdown(wait=True)``, raw
+      ``np.linalg`` math) directly inside an ``async def`` body — it
+      stalls every other request sharing the event loop; heavy work
+      belongs behind ``loop.run_in_executor`` (nested ``def``/lambda
+      bodies are exempt: that is exactly how the offload is written);
+    - an un-awaited coroutine: a bare expression statement calling a
+      same-file ``async def`` (or ``asyncio.sleep``) creates a
+      coroutine object and silently drops it;
+    - an unbounded ``asyncio.Queue()``: the serve layer bounds
+      admission through ``ServeConfig``, so a queue with no ``maxsize``
+      silently removes the backpressure those bounds exist to provide.
+    """
+
+    rule = "RS125"
+    summary = ("async hygiene: blocking call in a coroutine, un-awaited "
+               "coroutine, or unbounded asyncio.Queue")
+
+    def run(self) -> List[AnalysisFinding]:
+        async_defs = [node for node in ast.walk(self.ctx.tree)
+                      if isinstance(node, ast.AsyncFunctionDef)]
+        if not async_defs:
+            return self.findings
+        local_coroutines = {fn.name for fn in async_defs}
+        for fn in async_defs:
+            self._check_body(fn, local_coroutines)
+        for node in ast.walk(self.ctx.tree):
+            if isinstance(node, ast.Call) \
+                    and dotted_name(node.func) == "asyncio.Queue" \
+                    and not node.args \
+                    and not any(kw.arg == "maxsize"
+                                for kw in node.keywords):
+                self.emit(node,
+                          "unbounded asyncio.Queue(): admission bounds "
+                          "from ServeConfig never reach this queue, so "
+                          "it grows without backpressure")
+        return self.findings
+
+    def _check_body(self, fn: ast.AsyncFunctionDef,
+                    local_coroutines: Set[str]) -> None:
+        for node in self._own_nodes(fn):
+            if isinstance(node, ast.Expr) \
+                    and isinstance(node.value, ast.Call):
+                dotted = dotted_name(node.value.func)
+                leaf = dotted.rsplit(".", 1)[-1]
+                if dotted in ("asyncio.sleep", "asyncio.gather") \
+                        or (leaf in local_coroutines and "." not in dotted):
+                    self.emit(node,
+                              f"coroutine {dotted or leaf}(...) is never "
+                              f"awaited: the call builds a coroutine "
+                              f"object and drops it, so the work never "
+                              f"runs")
+                    continue
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = dotted_name(node.func)
+            leaf = dotted.rsplit(".", 1)[-1] if dotted else ""
+            blocking = leaf in _BLOCKING_LEAVES \
+                or any(dotted.startswith(p) or dotted == p.rstrip(".")
+                       for p in _BLOCKING_PREFIXES)
+            if leaf == "shutdown" \
+                    and any(kw.arg == "wait"
+                            and isinstance(kw.value, ast.Constant)
+                            and kw.value.value is True
+                            for kw in node.keywords):
+                blocking = True
+            if blocking:
+                self.emit(node,
+                          f"blocking call {dotted or leaf}(...) inside "
+                          f"async def {fn.name}: it stalls the event "
+                          f"loop for every in-flight request; offload "
+                          f"via loop.run_in_executor")
+
+    @staticmethod
+    def _own_nodes(fn: ast.AsyncFunctionDef):
+        """Walk ``fn``'s body without descending into nested function
+        scopes (offload lambdas/defs legitimately block — in the
+        executor thread, not the event loop)."""
+        stack = list(fn.body)
+        while stack:
+            node = stack.pop()
+            yield node
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))

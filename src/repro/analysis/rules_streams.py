@@ -1,4 +1,5 @@
-"""Stream-scheduler rules: RS108 plus the RS109–RS112 concurrency lints.
+"""Stream-scheduler rules: RS108, the RS109–RS112 concurrency lints and
+RS122 race-annotation completeness.
 
 The multi-GPU executor's modeled elapsed time is the critical path
 through the :class:`repro.gpu.streams.StreamScheduler` DAG, so the
@@ -7,7 +8,9 @@ submitted with no ordering doesn't crash — it silently shifts the
 critical path and corrupts the Figure 15 numbers.  RS108 keeps all
 charging on the stream API; RS109–RS111 catch dropped syncs, unordered
 transfers, and missing race-sanitizer annotations *before* a run;
-RS112 schema-checks ``restore()`` call sites.  The dynamic complement
+RS112 schema-checks ``restore()`` call sites; RS122 checks that every
+submission's ``writes=`` and derived reads give the sanitizer a DAG it
+can order.  The dynamic complement
 is :mod:`repro.analysis.races` (see docs/static_analysis.md, "Race
 sanitizer").
 
@@ -20,14 +23,16 @@ module whose annotations the fig15 race check depends on.
 from __future__ import annotations
 
 import ast
-from typing import Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .engine import BaseChecker, ModuleContext, register
+from .findings import AnalysisFinding
+from .rules_executor import in_timed_scope
 
 __all__ = ["StreamChargeChecker", "DroppedEventChecker",
            "UnorderedTransferChecker", "MissingAccessChecker",
-           "RestoreSchemaChecker", "STREAM_SCOPES", "TRANSFER_STREAMS",
-           "STATE_KEYS"]
+           "RestoreSchemaChecker", "IncompleteRaceAnnotationChecker",
+           "STREAM_SCOPES", "TRANSFER_STREAMS", "STATE_KEYS"]
 
 #: Path fragments (posix) where RS108/RS111 are enforced: the executors
 #: whose clock is the stream scheduler's critical path.
@@ -286,3 +291,138 @@ class RestoreSchemaChecker(BaseChecker):
         elif isinstance(arg, ast.Constant):
             self.emit(node, f"restore() fed a {type(arg.value).__name__} "
                             "literal; it needs a state() snapshot dict")
+
+
+# ---------------------------------------------------------------------------
+# RS122: race-annotation completeness
+# ---------------------------------------------------------------------------
+
+def _buffer_base(node: ast.expr) -> Optional[str]:
+    """The logical-buffer family name of one ``reads=``/``writes=``
+    element: ``"B_chunk[0]"`` -> ``B_chunk``, ``f"B_host[{j},g{d}]"``
+    -> ``B_host``, ``"A"`` -> ``A``.  ``None`` means the element is
+    dynamic with no literal prefix (a wildcard — it may name anything).
+    """
+    text: Optional[str] = None
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        text = node.value
+    elif isinstance(node, ast.JoinedStr):
+        if node.values and isinstance(node.values[0], ast.Constant) \
+                and isinstance(node.values[0].value, str):
+            text = node.values[0].value
+        else:
+            return None
+    else:
+        return None
+    for sep in ("[", "@"):
+        if sep in text:
+            text = text.split(sep, 1)[0]
+    return text or None
+
+
+def _buffer_elements(node: ast.expr) -> Optional[List[ast.expr]]:
+    """Flatten a ``reads=``/``writes=`` expression into elements, or
+    ``None`` when the list itself is dynamic (a forwarded variable, a
+    comprehension over devices, a concatenation with one)."""
+    if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
+        return list(node.elts)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        left = _buffer_elements(node.left)
+        right = _buffer_elements(node.right)
+        if left is None or right is None:
+            return None
+        return left + right
+    return None
+
+
+def _is_stream_submit(node: ast.Call) -> bool:
+    if not isinstance(node.func, ast.Attribute):
+        return False
+    if node.func.attr not in ("submit", "submit_group"):
+        return False
+    receiver = node.func.value
+    return isinstance(receiver, ast.Attribute) \
+        and receiver.attr == "streams"
+
+
+@register
+class IncompleteRaceAnnotationChecker(BaseChecker):
+    """RS122: a stream submission the race sanitizer cannot order.
+
+    The race sanitizer (:mod:`repro.analysis.races`) orders kernels by
+    the logical buffers they declare; a ``streams.submit``/
+    ``submit_group`` with no ``writes=`` declaration (or an empty one)
+    is invisible to it — every conflict
+    with that kernel goes unchecked, which is exactly how a dropped
+    declaration reintroduces the silent races the sanitizer exists to
+    catch.  Additionally, a *derived* buffer read (``"B_chunk[0]"``,
+    ``"R_bar@g1"`` — anything with a ``[``/``@`` suffix) must be
+    produced by some declared write of the same family in the module;
+    a read nothing covers means the declared DAG has a dangling edge.
+    Dynamic buffer lists (forwarded parameters, per-device
+    comprehensions, dynamic f-string prefixes) make the module *open*
+    and disable the dangling-read check — only the per-site ``writes=``
+    presence check remains.
+    """
+
+    rule = "RS122"
+    summary = ("stream submission with no writes= declaration (or a "
+               "derived buffer read no declared write produces)")
+
+    def run(self) -> List[AnalysisFinding]:
+        if not in_timed_scope(self.ctx):
+            return self.findings
+        submits = [node for node in ast.walk(self.ctx.tree)
+                   if isinstance(node, ast.Call)
+                   and _is_stream_submit(node)]
+        if not submits:
+            return self.findings
+
+        open_module = False
+        write_bases: Set[str] = set()
+        reads: List[tuple] = []
+        for node in submits:
+            kwargs = {kw.arg: kw.value for kw in node.keywords if kw.arg}
+            writes = kwargs.get("writes")
+            if writes is None or (isinstance(writes, (ast.List, ast.Tuple,
+                                                      ast.Set))
+                                  and not writes.elts):
+                self.emit(node,
+                          f"{node.func.attr}() declares no writes= "
+                          f"logical buffers; the race sanitizer cannot "
+                          f"order this kernel against anything that "
+                          f"touches its outputs")
+                continue
+            elements = _buffer_elements(writes)
+            if elements is None:
+                open_module = True
+            else:
+                for elt in elements:
+                    base = _buffer_base(elt)
+                    if base is None:
+                        open_module = True
+                    else:
+                        write_bases.add(base)
+            read_elements = _buffer_elements(kwargs.get("reads")) \
+                if "reads" in kwargs else []
+            if read_elements is None:
+                open_module = True
+            else:
+                for elt in read_elements:
+                    reads.append((elt, node))
+
+        if open_module:
+            return self.findings
+        for elt, node in reads:
+            if not (isinstance(elt, ast.Constant)
+                    and isinstance(elt.value, str)):
+                continue
+            if "[" not in elt.value and "@" not in elt.value:
+                continue  # plain input buffers may be produced upstream
+            base = _buffer_base(elt)
+            if base is not None and base not in write_bases:
+                self.emit(elt,
+                          f"read of derived buffer {elt.value!r} that no "
+                          f"declared write of the {base!r} family "
+                          f"produces; the race DAG has a dangling edge")
+        return self.findings

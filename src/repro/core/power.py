@@ -21,14 +21,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..analysis.annotations import shaped
 from ..errors import ShapeError
 from ..gpu.device import ArrayLike, NumpyExecutor, shape_of
 
 __all__ = ["power_iterate"]
 
 
-@shaped(params={"a": ("m", "n"), "b_new": ("l", "n"), "q": "q"})
 def power_iterate(ex: NumpyExecutor, a: ArrayLike, b_new: ArrayLike,
                   q: int,
                   b_prev: Optional[ArrayLike] = None,

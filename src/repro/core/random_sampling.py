@@ -25,7 +25,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..analysis.annotations import shaped
 from ..config import SamplingConfig
 from ..errors import ShapeError
 from ..qr.utils import ensure_all_finite
@@ -70,7 +69,6 @@ def _apply_tuning(ex, config, m: int, n: int) -> None:
                            spec=ex.device.spec, cpu=ex.cpu))
 
 
-@shaped(params={"a": ("m", "n")})
 def random_sampling(a: ArrayLike, config: SamplingConfig,
                     executor: Optional[NumpyExecutor] = None,
                     check_finite: bool = True,

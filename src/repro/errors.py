@@ -12,6 +12,7 @@ __all__ = [
     "ShapeError",
     "NotOrthogonalError",
     "CholeskyBreakdownError",
+    "RankDeficientError",
     "ConvergenceError",
     "DeviceError",
     "OutOfDeviceMemoryError",
@@ -48,6 +49,21 @@ class CholeskyBreakdownError(ReproError, ArithmeticError):
     numerically positive definite.  Callers that want robustness should
     use ``cholqr(..., fallback="householder")`` or the shifted retry.
     """
+
+
+class RankDeficientError(ReproError, ArithmeticError):
+    """The sampled matrix has numerical rank below the requested ``k``.
+
+    Raised when the triangular solve with Step 2's leading ``k x k``
+    block ``R11`` meets an exact zero on its diagonal: the
+    column-pivoted QR has revealed rank ``rank < k``.  ``rank`` is the
+    diagonal index where the solve broke; ask for at most that many
+    columns.
+    """
+
+    def __init__(self, message: str, rank=None):
+        super().__init__(message)
+        self.rank = rank
 
 
 class ConvergenceError(ReproError, RuntimeError):

@@ -14,6 +14,12 @@ they *charge* for each operation:
 - :class:`repro.gpu.multigpu.MultiGPUExecutor` — models the 1D
   block-row multi-GPU runtime of Figure 4.
 
+The GEMM, orthogonalization and triangular ops are built on three
+charged primitives (``_gemm``, ``_orth``, ``_trsolve``): each reads its
+kernel dimensions from its operands, charges them, then runs the math.
+``repro-bench analyze --audit-costs`` checks the per-phase flops that
+result against the Figure 5 closed forms.
+
 Since the backend split, no executor calls dense linear algebra
 directly: every factorization/FFT/norm goes through the executor's
 :class:`repro.backends.base.ComputeBackend` handle (``self.backend``),
@@ -29,10 +35,11 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..analysis.annotations import residency, shaped
+from ..analysis.annotations import residency
 from ..backends import resolve_backend
+from ..backends.hostmath import LinAlgError
 from ..config import ORTH_SCHEMES
-from ..errors import (ConfigurationError, ShapeError,
+from ..errors import (ConfigurationError, RankDeficientError, ShapeError,
                       SymbolicExecutionError)
 from ..perfmodel.costs import DEFAULT_FAST_MEMORY
 from ..qr import cholqr, gram_schmidt, householder
@@ -133,17 +140,12 @@ def shape_of(a: ArrayLike) -> Tuple[int, ...]:
 
 
 @residency(returns="device")
-def _mm(a: ArrayLike, b: ArrayLike, backend=None) -> ArrayLike:
-    """Matrix product, symbolic-aware; real data runs on ``backend``
-    (a :class:`repro.backends.base.ComputeBackend`) when one is given,
-    else on the host BLAS directly."""
-    if shape_of(a)[1] != shape_of(b)[0]:
-        raise ShapeError(f"matmul mismatch: {shape_of(a)} @ {shape_of(b)}")
+def _mm(a: ArrayLike, b: ArrayLike, backend) -> ArrayLike:
+    """The math of a charged product (its caller checked the shapes):
+    symbolic-aware, real data on ``backend``."""
     if is_symbolic(a, b):
         return SymArray((shape_of(a)[0], shape_of(b)[1]))
-    if backend is not None:
-        return backend.gemm(a, b)
-    return a @ b
+    return backend.gemm(a, b)
 
 
 def _take_columns(a: ArrayLike, idx: Union[np.ndarray, Sequence[int]]
@@ -161,6 +163,49 @@ def _vstack(parts: Sequence[ArrayLike]) -> ArrayLike:
     if is_symbolic(*parts):
         return SymArray((rows, cols.pop()))
     return np.vstack(parts)
+
+
+def _orth_rows(b: np.ndarray, scheme: str, backend) -> np.ndarray:
+    """Q of the rows of a short-wide block with one of
+    :data:`repro.config.ORTH_SCHEMES`."""
+    if scheme in ("cholqr", "cholqr2"):
+        # Householder fallback: a rank-deficient block (subspace
+        # exhaustion in the adaptive scheme) breaks the shifted retry
+        # but HHQR still returns an exactly orthonormal Q.
+        q, _ = (cholqr.cholqr2_rows(b, fallback="householder",
+                                    backend=backend) if scheme == "cholqr2"
+                else cholqr.cholqr_rows(b, fallback="householder",
+                                        backend=backend))
+        return q
+    if scheme == "mixed_cholqr":
+        q, _ = cholqr.mixed_precision_cholqr_rows(b, backend=backend)
+        return q
+    if scheme == "householder":
+        return householder.householder_qr(b.T).q().T
+    if scheme == "cgs":
+        return gram_schmidt.cgs(b.T)[0].T
+    if scheme == "mgs":
+        return gram_schmidt.mgs(b.T)[0].T
+    if scheme == "tsqr":
+        return tsqr_factorize(b.T)[0].T
+    raise ConfigurationError(f"unhandled scheme {scheme!r}")
+
+
+def _qr_columns(ap: np.ndarray, scheme: str, backend
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(Q, R)`` of the columns of a tall-skinny block."""
+    if scheme == "cholqr2":
+        return cholqr.cholqr2_columns(ap, backend=backend)
+    if scheme == "cholqr":
+        return cholqr.cholqr_columns(ap, fallback="shift", backend=backend)
+    if scheme == "householder":
+        f = householder.householder_qr(ap)
+        return f.q(), f.r()
+    if scheme == "tsqr":
+        return tsqr_factorize(ap)
+    raise ConfigurationError(
+        f"qr_selected supports cholqr/cholqr2/householder/tsqr, "
+        f"got {scheme!r}")
 
 
 def _words_bytes(flops: float, *operand_elems: int) -> float:
@@ -308,7 +353,13 @@ class NumpyExecutor:
         return self.backend.to_host(a)
 
     # -- timing hooks (overridden by device executors) --------------------
-    def _t_gemm(self, m: int, n: int, k: int, phase: str) -> None: ...
+    # The GEMM, orthogonalization and triangular hooks are called only
+    # by the charged primitives below, with dimensions read from the
+    # operands.  ``split``/``reads`` place a GEMM on the multi-GPU
+    # runtime (see :meth:`_gemm`); one device ignores them.
+    def _t_gemm(self, m: int, n: int, k: int, phase: str,
+                split: Optional[str] = None,
+                reads: Sequence[str] = ()) -> None: ...
     def _t_prng(self, count: int) -> None: ...
     def _t_fft(self, m: int, n: int, axis: str) -> None: ...
     def _t_orth(self, rows: int, cols: int, scheme: str, reorth: bool,
@@ -321,9 +372,91 @@ class NumpyExecutor:
     def _t_svd(self, m: int, n: int, phase: str) -> None: ...
     def _t_rownorms(self, rows: int, cols: int, phase: str) -> None: ...
 
+    # -- charged primitives -----------------------------------------------
+    # Each reads its kernel dimensions from its operands, charges them,
+    # then runs the math: an op cannot bill a product it did not compute.
+    @residency(returns="device")
+    def _gemm(self, x: ArrayLike, y: ArrayLike, phase: str,
+              split: Optional[str] = None,
+              reads: Sequence[str] = ()) -> ArrayLike:
+        """``X Y``, charged as the ``rows(X) x cols(Y) x cols(X)`` GEMM.
+
+        ``split`` names the dimension a multi-GPU executor distributes
+        (``"inner"``: the contraction, leaving partial sums to reduce;
+        ``"cols"``: the columns of the result) and ``reads`` the logical
+        buffers its local kernels read.
+        """
+        m, k = shape_of(x)
+        k_y, n = shape_of(y)
+        if k != k_y:
+            raise ShapeError(f"matmul mismatch: {shape_of(x)} @ "
+                             f"{shape_of(y)}")
+        self._t_gemm(m, n, k, phase, split, reads)
+        return _mm(x, y, self.backend)
+
+    @residency(returns="device")
+    def _gemm_stacked(self, xs: Sequence[ArrayLike], y: ArrayLike,
+                      phase: str) -> list:
+        """``X_i Y`` for every block, charged as ONE stacked
+        ``(sum rows(X_i)) x cols(Y) x rows(Y)`` GEMM; each block's
+        product is computed on its own (see :meth:`sample_gemm_stacked`).
+        """
+        k, n = shape_of(y)
+        rows = 0
+        for x in xs:
+            if shape_of(x)[1] != k:
+                raise ShapeError(f"matmul mismatch: {shape_of(x)} @ "
+                                 f"{shape_of(y)}")
+            rows += shape_of(x)[0]
+        self._t_gemm(rows, n, k, phase)
+        return [_mm(x, y, self.backend) for x in xs]
+
+    def _orth(self, x: ArrayLike, scheme: str, phase: str,
+              columns: bool = False):
+        """Orthonormalize ``x`` with ``scheme``, charged for its shape:
+        the rows of a short-wide block (returns Q), or with
+        ``columns=True`` the columns of a tall-skinny one (returns
+        ``(Q, R)``).  ``cholqr2`` is the reorthogonalized scheme."""
+        rows, cols = shape_of(x)
+        self._t_orth(rows, cols, scheme, scheme == "cholqr2", phase)
+        if columns:
+            if is_symbolic(x):
+                return SymArray((rows, cols)), SymArray((cols, cols))
+            return _qr_columns(np.asarray(x), scheme, self.backend)
+        if is_symbolic(x):
+            return SymArray((rows, cols))
+        return _orth_rows(x, scheme, self.backend)
+
+    def _trsolve(self, r: ArrayLike, b: ArrayLike, phase: str,
+                 assemble: bool = False) -> ArrayLike:
+        """Triangular kernel with the ``k x k`` upper-triangular ``r``
+        and a ``k x t`` block ``b``, charged for its operands: the solve
+        ``R^{-1} B`` (TRSM), or with ``assemble=True`` the multiply
+        ``R [I  B]`` (TRMM, same cost class) giving the ``k x (k + t)``
+        factor.  A zero on the diagonal of ``r`` stops the solve with
+        :class:`repro.errors.RankDeficientError`."""
+        k = shape_of(r)[0]
+        t = shape_of(b)[1]
+        cols = k + t if assemble else t
+        self._t_trsolve(k, cols, phase)
+        if is_symbolic(r, b):
+            return SymArray((k, cols))
+        r, b = np.asarray(r), np.asarray(b)
+        if assemble:
+            return np.hstack([r, self.backend.gemm(r, b)])
+        try:
+            return solve_upper_triangular(r, b, backend=self.backend)
+        except LinAlgError as exc:
+            # The backend contract: LinAlgError means an exact zero on
+            # the diagonal, and the first one is the revealed rank.
+            rank = int(np.flatnonzero(np.diagonal(r) == 0.0)[0])
+            raise RankDeficientError(
+                f"R11 is singular at diagonal {rank}: the sampled matrix "
+                f"has numerical rank {rank} < k={k}; request at most "
+                f"{rank} columns", rank=rank) from exc
+
     # -- operations -------------------------------------------------------
     @residency(returns="device")
-    @shaped(params={"rows": "l", "cols": "m"}, returns=("l", "m"))
     def prng_gaussian(self, rows: int, cols: int,
                       symbolic: bool = False) -> ArrayLike:
         """Generate the ``rows x cols`` Gaussian sampling matrix Omega
@@ -337,17 +470,11 @@ class NumpyExecutor:
         return self.backend.standard_normal(self.rng, (rows, cols))
 
     @residency(returns="device")
-    @shaped(params={"omega": ("l", "m"), "a": ("m", "n")},
-            returns=("l", "n"))
     def sample_gemm(self, omega: ArrayLike, a: ArrayLike) -> ArrayLike:
         """Step 1 pruned Gaussian sampling ``B = Omega A``."""
-        l, m = shape_of(omega)
-        n = shape_of(a)[1]
-        self._t_gemm(l, n, m, phase="sampling")
-        return _mm(omega, a, self.backend)
+        return self._gemm(omega, a, "sampling")
 
     @residency(returns="device")
-    @shaped(params={"a": ("m", "n")})
     def sample_gemm_stacked(self, omegas: Sequence[ArrayLike],
                             a: ArrayLike) -> list:
         """Coalesced Step-1 sketch of a request batch:
@@ -367,10 +494,7 @@ class NumpyExecutor:
         """
         if len(omegas) == 0:
             raise ShapeError("sample_gemm_stacked needs >= 1 Omega")
-        total_l = sum(shape_of(o)[0] for o in omegas)
-        m, n = shape_of(a)
-        self._t_gemm(total_l, n, m, phase="sampling")
-        return [_mm(omega, a, self.backend) for omega in omegas]
+        return self._gemm_stacked(omegas, a, "sampling")
 
     @residency(returns="device")
     def fft_sample(self, a: ArrayLike, l: int, axis: str = "row",
@@ -411,25 +535,16 @@ class NumpyExecutor:
         return np.ascontiguousarray(parts) * np.sqrt(2.0 * d / l)
 
     @residency(returns="device")
-    @shaped(params={"b": ("l", "n"), "a": ("m", "n")}, returns=("l", "m"))
     def iter_gemm_at(self, b: ArrayLike, a: ArrayLike) -> ArrayLike:
         """Power-iteration product ``C = B A^T``  (line 7 of Fig. 2a)."""
-        l, n = shape_of(b)
-        m = shape_of(a)[0]
-        self._t_gemm(l, m, n, phase="gemm_iter")
-        return _mm(b, a.T, self.backend)
+        return self._gemm(b, a.T, "gemm_iter")
 
     @residency(returns="device")
-    @shaped(params={"c": ("l", "m"), "a": ("m", "n")}, returns=("l", "n"))
     def iter_gemm_a(self, c: ArrayLike, a: ArrayLike) -> ArrayLike:
         """Power-iteration product ``B = C A``  (line 12 of Fig. 2a)."""
-        l, m = shape_of(c)
-        n = shape_of(a)[1]
-        self._t_gemm(l, n, m, phase="gemm_iter")
-        return _mm(c, a, self.backend)
+        return self._gemm(c, a, "gemm_iter")
 
     @residency(returns="device")
-    @shaped(params={"b": ("l", "n")}, returns=("l", "n"))
     def orth_rows(self, b: ArrayLike, scheme: str = "cholqr2",
                   phase: str = "orth_iter") -> ArrayLike:
         """Orthonormalize the rows of a short-wide block; returns Q.
@@ -445,39 +560,9 @@ class NumpyExecutor:
         if l > n:
             raise ShapeError(f"orth_rows expects a short-wide block, "
                              f"got {l} x {n}")
-        reorth = scheme in ("cholqr2",)
-        self._t_orth(l, n, scheme, reorth, phase)
-        if is_symbolic(b):
-            return SymArray((l, n))
-        if scheme in ("cholqr", "cholqr2"):
-            # Householder fallback: a rank-deficient block (subspace
-            # exhaustion in the adaptive scheme) breaks the shifted
-            # retry but HHQR still returns an exactly orthonormal Q.
-            q, _ = (cholqr.cholqr2_rows(b, fallback="householder",
-                                        backend=self.backend) if reorth
-                    else cholqr.cholqr_rows(b, fallback="householder",
-                                            backend=self.backend))
-            return q
-        if scheme == "mixed_cholqr":
-            q, _ = cholqr.mixed_precision_cholqr_rows(
-                b, backend=self.backend)
-            return q
-        if scheme == "householder":
-            f = householder.householder_qr(b.T)
-            return f.q().T
-        if scheme == "cgs":
-            q, _ = gram_schmidt.cgs(b.T)
-            return q.T
-        if scheme == "mgs":
-            q, _ = gram_schmidt.mgs(b.T)
-            return q.T
-        if scheme == "tsqr":
-            q, _ = tsqr_factorize(b.T)
-            return q.T
-        raise ConfigurationError(f"unhandled scheme {scheme!r}")
+        return self._orth(b, scheme, phase)
 
     @residency(returns="device")
-    @shaped(params={"v": ("l", "n")}, returns=("l", "n"))
     def block_orth_rows(self, q_prev: Optional[ArrayLike], v: ArrayLike,
                         reorth: bool = True,
                         phase: str = "orth_iter") -> ArrayLike:
@@ -495,7 +580,6 @@ class NumpyExecutor:
         w, _ = gram_schmidt.block_orth_rows(q_prev, v, reorthogonalize=reorth)
         return w
 
-    @shaped(params={"b": ("l", "n"), "k": "k"})
     def qrcp_sampled(self, b: ArrayLike, k: int) -> Tuple[ArrayLike,
                                                           ArrayLike,
                                                           np.ndarray]:
@@ -517,7 +601,6 @@ class NumpyExecutor:
         return q[:, :k], r[:k, :], perm
 
     @residency(returns="device")
-    @shaped(params={"a": ("m", "n")})
     def take_columns(self, a: ArrayLike, idx: Union[np.ndarray,
                                                     Sequence[int]]
                      ) -> ArrayLike:
@@ -526,7 +609,6 @@ class NumpyExecutor:
         self._t_copy(8 * m * len(idx), phase="other")
         return _take_columns(a, idx)
 
-    @shaped(params={"ap": ("m", "k")})
     def qr_selected(self, ap: ArrayLike, scheme: str = "cholqr2"
                     ) -> Tuple[ArrayLike, ArrayLike]:
         """Step 3: tall-skinny QR of the selected columns ``A P_{1:k}``.
@@ -536,53 +618,25 @@ class NumpyExecutor:
         m, k = shape_of(ap)
         if m < k:
             raise ShapeError(f"qr_selected expects tall-skinny, got {m}x{k}")
-        reorth = scheme in ("cholqr2",)
-        self._t_orth(m, k, scheme, reorth, phase="qr")
-        if is_symbolic(ap):
-            return SymArray((m, k)), SymArray((k, k))
-        if scheme in ("cholqr", "cholqr2"):
-            return (cholqr.cholqr2_columns(np.asarray(ap),
-                                           backend=self.backend) if reorth
-                    else cholqr.cholqr_columns(np.asarray(ap),
-                                               fallback="shift",
-                                               backend=self.backend))
-        if scheme == "householder":
-            f = householder.householder_qr(np.asarray(ap))
-            return f.q(), f.r()
-        if scheme == "tsqr":
-            return tsqr_factorize(np.asarray(ap))
-        raise ConfigurationError(
-            f"qr_selected supports cholqr/cholqr2/householder/tsqr, "
-            f"got {scheme!r}")
+        return self._orth(ap, scheme, "qr", columns=True)
 
-    @shaped(params={"r11": ("k", "k"), "r12": ("k", "t")},
-            returns=("k", "t"))
     def solve_upper(self, r11: ArrayLike, r12: ArrayLike,
                     phase: str = "other") -> ArrayLike:
-        """``T = R11^{-1} R12`` (line 9 of Fig. 2b), triangular solve."""
-        k = shape_of(r11)[0]
-        ncols = shape_of(r12)[1]
-        self._t_trsolve(k, ncols, phase)
-        if is_symbolic(r11, r12):
-            return SymArray((k, ncols))
-        return solve_upper_triangular(np.asarray(r11), np.asarray(r12),
-                                      backend=self.backend)
+        """``T = R11^{-1} R12`` (line 9 of Fig. 2b), triangular solve.
 
-    @shaped(params={"rbar": ("k", "k"), "t": ("k", "t")})
+        A singular ``R11`` (the sampled matrix has rank below ``k``)
+        raises :class:`repro.errors.RankDeficientError` carrying the
+        revealed rank.
+        """
+        return self._trsolve(r11, r12, phase)
+
     def assemble_r(self, rbar: ArrayLike, t: ArrayLike,
                    phase: str = "other") -> ArrayLike:
         """``R = R_bar [I  T]`` (line 10 of Fig. 2b): a triangular
         multiply producing the ``k x n`` factor in pivoted order."""
-        k = shape_of(rbar)[0]
-        nt = shape_of(t)[1]
-        self._t_trsolve(k, k + nt, phase)  # TRMM, same cost class
-        if is_symbolic(rbar, t):
-            return SymArray((k, k + nt))
-        rbar = np.asarray(rbar)
-        return np.hstack([rbar, self.backend.gemm(rbar, np.asarray(t))])
+        return self._trsolve(rbar, t, phase, assemble=True)
 
     @residency(returns="host")
-    @shaped(params={"b_new": ("l", "n"), "q_prev": ("p", "n")})
     def estimate_error(self, b_new: ArrayLike, q_prev: ArrayLike,
                        phase: str = "other") -> float:
         """Adaptive-scheme error estimate (line 15 of Fig. 3):
@@ -591,18 +645,13 @@ class NumpyExecutor:
         Symbolic inputs cannot produce a value and raise
         :class:`repro.errors.SymbolicExecutionError`.
         """
-        li, n = shape_of(b_new)
-        lp = shape_of(q_prev)[0]
-        # Two GEMMs + a norm.
-        self._t_gemm(li, lp, n, phase=phase)
-        self._t_gemm(li, n, lp, phase=phase)
-        if is_symbolic(b_new, q_prev):
+        proj = self._gemm(b_new, q_prev.T, phase)
+        fit = self._gemm(proj, q_prev, phase)
+        if is_symbolic(fit):
             raise SymbolicExecutionError(
                 "error estimates require real data; run the adaptive "
                 "scheme with a concrete matrix")
-        proj = self.backend.gemm(b_new, q_prev.T)
-        resid = b_new - self.backend.gemm(proj, q_prev)
-        return self.backend.norm(resid, ord=2)
+        return self.backend.norm(b_new - fit, ord=2)
 
     @residency(returns="device")
     def vstack(self, parts: Sequence[ArrayLike]) -> ArrayLike:
@@ -610,16 +659,12 @@ class NumpyExecutor:
         return _vstack(parts)
 
     @residency(returns="device")
-    @shaped(params={"x": ("m", "k"), "y": ("k", "n")}, returns=("m", "n"))
     def gemm(self, x: ArrayLike, y: ArrayLike,
              phase: str = "other") -> ArrayLike:
         """General timed product ``X Y`` for post-processing steps that
         have no dedicated kernel (e.g. the randomized-SVD Stage-B
         factor assembly)."""
-        m, k = shape_of(x)
-        n = shape_of(y)[1]
-        self._t_gemm(m, n, k, phase=phase)
-        return _mm(x, y, self.backend)
+        return self._gemm(x, y, phase)
 
     @residency(returns="host")
     def svd_small(self, r: ArrayLike, phase: str = "other"
@@ -687,22 +732,31 @@ class GPUExecutor(NumpyExecutor):
         self.device.memory.allocate(8 * m * n)
 
     # -- timing hooks -----------------------------------------------------
+    def _charge(self, phase: str, seconds: float, label: str,
+                flops: float = 0.0, bytes_moved: float = 0.0) -> None:
+        """Where every hook below lands its kernel: this device.  The
+        multi-GPU executor places it on device 0 instead."""
+        self.device.charge(phase, seconds, label=label, flops=flops,
+                           bytes_moved=bytes_moved)
+
     def _gemm_efficiency(self, phase: str) -> float:
         """Iteration GEMMs (TN/NT shapes) run at the calibrated bonus."""
         return (self.device.spec.iter_gemm_efficiency
                 if phase == "gemm_iter" else 1.0)
 
-    def _t_gemm(self, m: int, n: int, k: int, phase: str) -> None:
+    def _t_gemm(self, m: int, n: int, k: int, phase: str,
+                split: Optional[str] = None,
+                reads: Sequence[str] = ()) -> None:
         secs = self.kernels.gemm_seconds(
             m, n, k, efficiency=self._gemm_efficiency(phase))
         flops = gemm_flops(m, n, k)
-        self.device.charge(phase, secs, label=f"gemm {m}x{n}x{k}",
+        self._charge(phase, secs, label=f"gemm {m}x{n}x{k}",
                            flops=flops,
                            bytes_moved=_words_bytes(flops, m * k, k * n,
                                                     m * n))
 
     def _t_prng(self, count: int) -> None:
-        self.device.charge("prng", self.kernels.curand_seconds(count),
+        self._charge("prng", self.kernels.curand_seconds(count),
                            label=f"curand {count}", flops=float(count),
                            bytes_moved=8.0 * count)
 
@@ -710,7 +764,7 @@ class GPUExecutor(NumpyExecutor):
         padded = self.kernels._pad_pow2(m if axis == "row" else n)
         flops = 5.0 * padded * np.log2(max(2, padded)) \
             * (n if axis == "row" else m)
-        self.device.charge("sampling",
+        self._charge("sampling",
                            self.kernels.fft_sampling_seconds(m, n, axis),
                            label=f"fft {m}x{n} {axis}", flops=flops,
                            bytes_moved=_words_bytes(flops, m * n))
@@ -743,7 +797,7 @@ class GPUExecutor(NumpyExecutor):
             raise ConfigurationError(f"no timing model for {scheme!r}")
         passes = 2 if reorth else 1
         flops = qr_flops(max(rows, cols), min(rows, cols)) * passes
-        self.device.charge(phase, secs, label=f"{scheme} {rows}x{cols}",
+        self._charge(phase, secs, label=f"{scheme} {rows}x{cols}",
                            flops=flops,
                            bytes_moved=_words_bytes(flops,
                                                     passes * rows * cols))
@@ -752,7 +806,7 @@ class GPUExecutor(NumpyExecutor):
                       reorth: bool, phase: str) -> None:
         secs = self.kernels.block_orth_seconds(prev, new, length, reorth)
         flops = 4.0 * prev * new * length * (2 if reorth else 1)
-        self.device.charge(phase, secs,
+        self._charge(phase, secs,
                            label=f"borth {prev}+{new}x{length}",
                            flops=flops,
                            bytes_moved=_words_bytes(flops,
@@ -760,7 +814,7 @@ class GPUExecutor(NumpyExecutor):
 
     def _t_qrcp(self, m: int, n: int, k: int) -> None:
         flops = qp3_flops(m, n, k)
-        self.device.charge("qrcp", self.kernels.qp3_seconds(m, n, k),
+        self._charge("qrcp", self.kernels.qp3_seconds(m, n, k),
                            label=f"qp3 {m}x{n} k={k}", flops=flops,
                            # QP3 is BLAS-2 bound: every update sweeps
                            # the trailing matrix through slow memory.
@@ -768,7 +822,7 @@ class GPUExecutor(NumpyExecutor):
 
     def _t_trsolve(self, rows: int, cols: int, phase: str) -> None:
         flops = gemm_flops(rows, cols, rows) / 2.0
-        self.device.charge(phase, self.kernels.trsm_seconds(rows, cols),
+        self._charge(phase, self.kernels.trsm_seconds(rows, cols),
                            label=f"trsm {rows}x{cols}", flops=flops,
                            bytes_moved=_words_bytes(flops, rows * cols))
 
@@ -776,19 +830,19 @@ class GPUExecutor(NumpyExecutor):
         # Device-local gather at memory bandwidth (read + write).
         secs = (2 * nbytes / (self.device.spec.mem_bw_gbs * 1e9)
                 + self.device.spec.kernel_launch_s)
-        self.device.charge(phase, secs, label=f"copy {nbytes}B",
+        self._charge(phase, secs, label=f"copy {nbytes}B",
                            bytes_moved=2.0 * nbytes)
 
     def _t_svd(self, m: int, n: int, phase: str) -> None:
         small = min(m, n)
         flops = 14.0 * m * n * small  # dense one-sided Jacobi/gesvd class
-        self.device.charge(phase, self.kernels.svd_small_seconds(m, n),
+        self._charge(phase, self.kernels.svd_small_seconds(m, n),
                            label=f"gesvd {m}x{n}", flops=flops,
                            bytes_moved=_words_bytes(flops, m * n))
 
     def _t_rownorms(self, rows: int, cols: int, phase: str) -> None:
         flops = 2.0 * rows * cols
-        self.device.charge(phase,
+        self._charge(phase,
                            self.kernels.row_norms_seconds(rows, cols),
                            label=f"rownorms {rows}x{cols}", flops=flops,
                            bytes_moved=8.0 * rows * cols)

@@ -45,14 +45,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..analysis.annotations import residency, shaped
-from ..errors import ConfigurationError, ShapeError
+from ..analysis.annotations import residency
+from ..errors import ConfigurationError
 from .device import (ArrayLike, GPUExecutor, SimulatedGPU, SymArray,
-                     is_symbolic, shape_of)
+                     _words_bytes, shape_of)
+from .kernels import gemm_flops, qp3_flops, qr_flops
 from .specs import GPUSpec, KEPLER_K40C
 from .streams import HOST, StreamEvent, StreamScheduler
 
@@ -271,7 +270,6 @@ class MultiGPUExecutor(GPUExecutor):
         return self.backend.standard_normal(self.rng, (rows, cols))
 
     @residency(returns="host")
-    @shaped(params={"omega": ("l", "m"), "a": ("m", "n")}, returns=("l", "n"))
     def sample_gemm(self, omega: ArrayLike, a: ArrayLike) -> ArrayLike:
         """``B_(i) = Omega_(i) A_(i)`` locally, then CPU accumulation;
         the chunked gather overlaps the next chunk's GEMM.
@@ -282,19 +280,9 @@ class MultiGPUExecutor(GPUExecutor):
         :meth:`~repro.gpu.device.NumpyExecutor.to_host` — dropping that
         download is an RS115 violation the analyzer catches.
         """
-        from .device import _mm, _words_bytes
-        from .kernels import gemm_flops
-        l, m = shape_of(omega)
-        n = shape_of(a)[1]
-        c = self.local_rows(m)
-        flops = gemm_flops(l, n, c)
-        self._local_gemm("sampling", self.kernels.gemm_seconds(l, n, c),
-                         label=f"gemm {l}x{n}x{c} (local)", flops=flops,
-                         bytes_moved=_words_bytes(flops, l * c, c * n,
-                                                  l * n),
-                         reads=["Omega", "A"])
-        self._reduce_b(l, n)
-        b = _mm(omega, a, self.backend)
+        b = self._gemm(omega, a, "sampling", split="inner",
+                       reads=["Omega", "A"])
+        self._reduce_b(*shape_of(b))
         return self.to_host(b)
 
     def _reduce_b(self, l: int, n: int) -> None:
@@ -345,49 +333,58 @@ class MultiGPUExecutor(GPUExecutor):
                                 reads=[src], writes=[f"{src}@g{d}"])
 
     @residency(returns="device")
-    @shaped(params={"b": ("l", "n"), "a": ("m", "n")}, returns=("l", "m"))
     def iter_gemm_at(self, b: ArrayLike, a: ArrayLike) -> ArrayLike:
         """``C_(i) = B A_(i)^T`` locally; C stays distributed."""
-        from .device import _mm, _words_bytes
-        from .kernels import gemm_flops
-        l, n = shape_of(b)
-        m = shape_of(a)[0]
-        c = self.local_rows(m)
-        eff = self.device.spec.iter_gemm_efficiency
-        flops = gemm_flops(l, c, n)
-        self._charge_all("gemm_iter",
-                         self.kernels.gemm_seconds(l, c, n, efficiency=eff),
-                         label=f"gemm {l}x{c}x{n} (local)", flops=flops,
-                         bytes_moved=_words_bytes(flops, l * n, c * n,
-                                                  l * c),
-                         reads=[f"B@g{d}" for d in range(self.ng)] + ["A"],
-                         writes=["C"])
-        return _mm(b, a.T, self.backend)
+        return self._gemm(b, a.T, "gemm_iter", split="cols",
+                          reads=[f"B@g{d}" for d in range(self.ng)] + ["A"])
 
     @residency(returns="host")
-    @shaped(params={"c_mat": ("l", "m"), "a": ("m", "n")}, returns=("l", "n"))
     def iter_gemm_a(self, c_mat: ArrayLike, a: ArrayLike) -> ArrayLike:
         """``B_(i) = C_(i) A_(i)`` locally, then CPU accumulation.
 
         Like :meth:`sample_gemm`, the reduced ``B`` is host-resident
         and must come back through ``to_host`` (RS115-checked).
         """
-        from .device import _mm, _words_bytes
-        from .kernels import gemm_flops
-        l, m = shape_of(c_mat)
-        n = shape_of(a)[1]
-        c = self.local_rows(m)
-        eff = self.device.spec.iter_gemm_efficiency
-        flops = gemm_flops(l, n, c)
-        self._local_gemm("gemm_iter",
-                         self.kernels.gemm_seconds(l, n, c, efficiency=eff),
-                         label=f"gemm {l}x{n}x{c} (local)", flops=flops,
-                         bytes_moved=_words_bytes(flops, l * c, c * n,
-                                                  l * n),
-                         reads=["C", "A"])
-        self._reduce_b(l, n)
-        b = _mm(c_mat, a, self.backend)
+        b = self._gemm(c_mat, a, "gemm_iter", split="inner",
+                       reads=["C", "A"])
+        self._reduce_b(*shape_of(b))
         return self.to_host(b)
+
+    def _t_gemm(self, m: int, n: int, k: int, phase: str,
+                split: Optional[str] = None,
+                reads: Sequence[str] = ()) -> None:
+        """GEMM charge step, placed by ``split``.
+
+        ``"inner"``: every device multiplies its ``c = local_rows(k)``
+        slice of the contraction in pipelined chunks, whose partial sums
+        :meth:`_reduce_b` then gathers.  ``"cols"``: every device
+        computes ``c = local_rows(n)`` columns of the result, which
+        stays distributed as ``C``.  No split: the product has no
+        distributed decomposition and runs on device 0 (:meth:`_charge`).
+        """
+        eff = self._gemm_efficiency(phase)
+        if split == "inner":
+            c = self.local_rows(k)
+            flops = gemm_flops(m, n, c)
+            self._local_gemm(phase,
+                             self.kernels.gemm_seconds(m, n, c,
+                                                       efficiency=eff),
+                             label=f"gemm {m}x{n}x{c} (local)", flops=flops,
+                             bytes_moved=_words_bytes(flops, m * c, c * n,
+                                                      m * n),
+                             reads=reads)
+        elif split == "cols":
+            c = self.local_rows(n)
+            flops = gemm_flops(m, c, k)
+            self._charge_all(phase,
+                             self.kernels.gemm_seconds(m, c, k,
+                                                       efficiency=eff),
+                             label=f"gemm {m}x{c}x{k} (local)", flops=flops,
+                             bytes_moved=_words_bytes(flops, m * k, c * k,
+                                                      m * c),
+                             reads=reads, writes=["C"])
+        else:
+            super()._t_gemm(m, n, k, phase)
 
     def _t_orth(self, rows: int, cols: int, scheme: str, reorth: bool,
                 phase: str) -> None:
@@ -395,8 +392,6 @@ class MultiGPUExecutor(GPUExecutor):
         multi-GPU CholQR (Figure 4) for the distributed ``C`` and for
         the tall-skinny Step-3 QR (double-buffered: the first SYRK
         buffer's partial Gram ships while the second buffer computes)."""
-        from .device import _words_bytes
-        from .kernels import qr_flops
         passes = 2 if reorth else 1
         if self._is_distributed_width(max(rows, cols)) or phase == "qr":
             self._distributed_cholqr(rows, cols, passes, phase)
@@ -425,8 +420,6 @@ class MultiGPUExecutor(GPUExecutor):
         buffer count reshapes the schedule only — per-phase totals are
         independent of it.
         """
-        from .device import _words_bytes
-        from .kernels import qr_flops
         nb = self.cholqr_buffers
         small = min(rows, cols)
         long_local = self.local_rows(max(rows, cols))
@@ -488,7 +481,6 @@ class MultiGPUExecutor(GPUExecutor):
                 writes=[panel])
 
     def _t_qrcp(self, m: int, n: int, k: int) -> None:
-        from .kernels import qp3_flops
         # Truncated QP3 of the small sampled matrix on device 0; B must
         # first be sent down to the device.
         h2d = self.streams.submit(
@@ -515,7 +507,6 @@ class MultiGPUExecutor(GPUExecutor):
 
     def _t_block_orth(self, prev: int, new: int, length: int,
                       reorth: bool, phase: str) -> None:
-        from .device import _words_bytes
         if self._is_distributed_width(length):
             c = self.local_rows(length)
             secs = self.kernels.block_orth_seconds(prev, new, c, reorth)
@@ -546,69 +537,15 @@ class MultiGPUExecutor(GPUExecutor):
                                 bytes_moved=8.0 * (prev + new) * length,
                                 reads=["B"], writes=["B"])
 
-    # -- inherited single-device hooks rerouted through the scheduler ----
-    # (these ops have no distributed decomposition; they run on device 0
-    # after a global join, so the critical path still covers them; their
-    # shared "dev0_panel" buffer is ordered by the after_all joins)
-    def _t_gemm(self, m: int, n: int, k: int, phase: str) -> None:
-        from .device import _words_bytes
-        from .kernels import gemm_flops
-        secs = self.kernels.gemm_seconds(
-            m, n, k, efficiency=self._gemm_efficiency(phase))
-        flops = gemm_flops(m, n, k)
-        self.streams.submit(phase, secs, device=0, stream="compute",
-                            after_all=True, label=f"gemm {m}x{n}x{k}",
-                            flops=flops,
-                            bytes_moved=_words_bytes(flops, m * k, k * n,
-                                                     m * n),
-                            reads=["dev0_panel"], writes=["dev0_panel"])
-
-    def _t_prng(self, count: int) -> None:
-        self.streams.submit("prng", self.kernels.curand_seconds(count),
-                            device=0, stream="compute", after_all=True,
-                            label=f"curand {count}", flops=float(count),
-                            bytes_moved=8.0 * count,
-                            writes=["dev0_panel"])
-
-    def _t_fft(self, m: int, n: int, axis: str) -> None:
-        from .device import _words_bytes
-        padded = self.kernels._pad_pow2(m if axis == "row" else n)
-        flops = 5.0 * padded * np.log2(max(2, padded)) \
-            * (n if axis == "row" else m)
-        self.streams.submit("sampling",
-                            self.kernels.fft_sampling_seconds(m, n, axis),
-                            device=0, stream="compute", after_all=True,
-                            label=f"fft {m}x{n} {axis}", flops=flops,
-                            bytes_moved=_words_bytes(flops, m * n),
-                            reads=["dev0_panel"], writes=["dev0_panel"])
-
-    def _t_trsolve(self, rows: int, cols: int, phase: str) -> None:
-        from .device import _words_bytes
-        from .kernels import gemm_flops
-        flops = gemm_flops(rows, cols, rows) / 2.0
-        self.streams.submit(phase, self.kernels.trsm_seconds(rows, cols),
-                            device=0, stream="compute", after_all=True,
-                            label=f"trsm {rows}x{cols}", flops=flops,
-                            bytes_moved=_words_bytes(flops, rows * cols),
-                            reads=["dev0_panel"], writes=["dev0_panel"])
-
-    def _t_svd(self, m: int, n: int, phase: str) -> None:
-        from .device import _words_bytes
-        small = min(m, n)
-        flops = 14.0 * m * n * small
-        self.streams.submit(phase, self.kernels.svd_small_seconds(m, n),
-                            device=0, stream="compute", after_all=True,
-                            label=f"gesvd {m}x{n}", flops=flops,
-                            bytes_moved=_words_bytes(flops, m * n),
-                            reads=["dev0_panel"], writes=["dev0_panel"])
-
-    def _t_rownorms(self, rows: int, cols: int, phase: str) -> None:
-        flops = 2.0 * rows * cols
-        self.streams.submit(phase,
-                            self.kernels.row_norms_seconds(rows, cols),
-                            device=0, stream="compute", after_all=True,
-                            label=f"rownorms {rows}x{cols}", flops=flops,
-                            bytes_moved=8.0 * rows * cols,
+    def _charge(self, phase: str, seconds: float, label: str,
+                flops: float = 0.0, bytes_moved: float = 0.0) -> None:
+        """The single-device hooks this executor inherits (ops with no
+        distributed decomposition) run on device 0 after a global join,
+        so the critical path still covers them; their shared
+        ``dev0_panel`` buffer is ordered by the joins."""
+        self.streams.submit(phase, seconds, device=0, stream="compute",
+                            after_all=True, label=label, flops=flops,
+                            bytes_moved=bytes_moved,
                             reads=["dev0_panel"], writes=["dev0_panel"])
 
     @property

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import ConfigurationError
 
@@ -102,57 +102,6 @@ class TimeLine:
         if tot <= 0:
             return {name: 0.0 for name in PHASES}
         return {name: self._phases[name].seconds / tot for name in PHASES}
-
-    def merge_max(self, others: "List[TimeLine]") -> "TimeLine":
-        """Combine per-device timelines assuming perfect overlap
-        *within* each phase across devices (the multi-GPU runtime runs
-        device kernels concurrently): each phase takes the maximum over
-        devices."""
-        out = TimeLine()
-        for name in PHASES:
-            secs = max([self.seconds(name)] + [o.seconds(name) for o in others])
-            if secs > 0:
-                out.charge(name, secs, label="merged")
-        return out
-
-    def __iadd__(self, other: "TimeLine") -> "TimeLine":
-        for name in PHASES:
-            s = other.seconds(name)
-            if s > 0:
-                self._phases[name].seconds += s
-                self._phases[name].calls += other.calls(name)
-        self.events.extend(other.events)
-        return self
-
-    def to_chrome_trace(self, process_name: str = "simulated-gpu",
-                        pid: int = 0) -> List[Dict]:
-        """Convert the event log into Chrome trace-event format.
-
-        Load the JSON-dumped result in ``chrome://tracing`` (or
-        Perfetto) to inspect a modeled run kernel by kernel: one
-        complete ('X') event per kernel, laid out sequentially on a
-        thread per phase.  Timestamps are microseconds of modeled time.
-        """
-        out: List[Dict] = []
-        out.append({"ph": "M", "pid": pid, "name": "process_name",
-                    "args": {"name": process_name}})
-        tids = {name: i for i, name in enumerate(PHASES)}
-        for name, tid in tids.items():
-            out.append({"ph": "M", "pid": pid, "tid": tid,
-                        "name": "thread_name", "args": {"name": name}})
-        clock = 0.0
-        for phase, label, seconds in self.events:
-            out.append({
-                "ph": "X",
-                "pid": pid,
-                "tid": tids[phase],
-                "name": label or phase,
-                "cat": phase,
-                "ts": clock * 1e6,
-                "dur": seconds * 1e6,
-            })
-            clock += seconds
-        return out
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{k}={v:.4f}s" for k, v in self.breakdown().items()

@@ -10,9 +10,9 @@ Kernel spans carry the modeled seconds, a FLOP estimate and the bytes
 moved (both from the :mod:`repro.perfmodel.costs` word model via the
 executor timing hooks), the device id, and the device-memory
 high-water mark sampled at charge time.  The recorder lays spans out
-on a single modeled clock — the same sequential layout
-:meth:`repro.gpu.trace.TimeLine.to_chrome_trace` uses — so the span
-tree, the timeline, and the Chrome-trace export all agree on phase
+on a single modeled clock, in the order the device timeline records
+its charges, so the span tree, the timeline, and the Chrome-trace
+export (:func:`repro.obs.chrome.spans_to_chrome`) all agree on phase
 attribution and totals.
 
 Stream-scheduled work (:mod:`repro.gpu.streams`) places kernels at an

@@ -27,14 +27,14 @@ iteration is ``O(l^2 (m + n) q)`` — we expose exact constants, so the
 table's order relations (everything dominated by the GEMM term) are
 preserved either way.
 
-These closed forms are load-bearing: analyzer rule RS124
-(:mod:`repro.analysis.shapes`) statically interprets each executor's
-charge hooks over the Figure 2b op sequence and fails CI if the
-per-phase totals drift more than 5% from these functions at reference
-dimensions, and ``repro-bench analyze --audit-costs`` adds a third
-column from an instrumented run (see ``docs/static_analysis.md``).
-A deliberate model change must therefore update executor and closed
-form together — which is the point.
+These closed forms are load-bearing: ``repro-bench analyze
+--audit-costs`` (:mod:`repro.analysis.audit`, a tier-1 test and a CI
+step) runs the fixed-rank algorithm symbolically at the fig15 point on
+1-3 devices and at two reference points, and fails if any audited
+phase's charged flops drift more than 5% from these functions (see
+``docs/static_analysis.md``).  A deliberate model change must
+therefore update executor and closed form together — which is the
+point.
 """
 
 from __future__ import annotations

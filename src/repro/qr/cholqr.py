@@ -32,7 +32,6 @@ from typing import Literal, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.annotations import shaped
 from ..backends import resolve_backend
 from ..backends.base import ComputeBackend
 from ..errors import CholeskyBreakdownError, ShapeError
@@ -75,7 +74,6 @@ def _shifted_chol_upper(g: np.ndarray,
         "shifted Cholesky failed even with a large shift")
 
 
-@shaped(params={"b": ("m", "k")})
 def cholqr_columns(b: np.ndarray, fallback: Fallback = "raise",
                    backend: BackendSpec = None
                    ) -> Tuple[np.ndarray, np.ndarray]:
@@ -128,7 +126,6 @@ def cholqr_columns(b: np.ndarray, fallback: Fallback = "raise",
     return q, r
 
 
-@shaped(params={"b": ("l", "n")})
 def cholqr_rows(b: np.ndarray, fallback: Fallback = "raise",
                 backend: BackendSpec = None
                 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -184,7 +181,6 @@ def cholqr2_columns(b: np.ndarray, fallback: Fallback = "shift",
     return q2, bk.gemm(r2, r1)
 
 
-@shaped(params={"b": ("l", "n")})
 def cholqr2_rows(b: np.ndarray, fallback: Fallback = "shift",
                  backend: BackendSpec = None
                  ) -> Tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,6 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.annotations import shaped
 from ..config import SAMPLER_KINDS, AdaptiveConfig, SamplingConfig
 from ..errors import ConfigurationError, InvalidRequestError
 from ..matrices.registry import get_matrix, list_matrices
@@ -79,7 +78,6 @@ class MatrixRef:
     def key(self) -> Tuple[str, int, int, int]:
         return (self.name, self.m, self.n, self.seed)
 
-    @shaped(returns=("m", "n"))
     def materialize(self) -> np.ndarray:
         """The matrix as a read-only array (a view of the registry's
         LRU entry, so no copy is made); a write raises ``ValueError``."""

@@ -325,9 +325,11 @@ class TestToHostMutation:
         target = dest / "gpu" / "multigpu.py"
         src = target.read_text(encoding="utf-8")
         mutated = src.replace(
-            "        b = _mm(omega, a, self.backend)\n"
+            '                       reads=["Omega", "A"])\n'
+            "        self._reduce_b(*shape_of(b))\n"
             "        return self.to_host(b)\n",
-            "        b = _mm(omega, a, self.backend)\n"
+            '                       reads=["Omega", "A"])\n'
+            "        self._reduce_b(*shape_of(b))\n"
             "        return b\n")
         assert mutated != src, "mutation target not found in multigpu.py"
         target.write_text(mutated, encoding="utf-8")

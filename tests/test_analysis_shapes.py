@@ -1,32 +1,39 @@
-"""Tests for the symbolic shape & cost-consistency rules (RS121-RS125)
-and their supporting machinery: the shape lattice seeded by ``@shaped``
-declarations, Σl propagation through stacked batches, the RS124 cost
-interpreter, the incremental cache, SARIF export, and the three-way
-``--audit-costs`` audit.
+"""Tests for the cost-consistency checks: the charged primitives that
+bill kernel dimensions read from their operands, the runtime cost
+audit (``--audit-costs``, which replaced the static drift rule RS124),
+and the per-file rules RS122, RS123 and RS125, with their incremental
+cache and SARIF export.
 
 Each rule gets at least one true-positive and one clean fixture, and —
-the load-bearing part — each rule is mutation-tested against the real
-tree: a single seeded defect (swapped charge dims, a dropped ``writes=``
-entry, a conditionally-skipped charge, a halved charge coefficient)
-must flip the shipped tree from clean to exactly one finding.
+the load-bearing part — each check is mutation-tested against the real
+tree: a single seeded defect (a row count read from the wrong operand,
+a halved charge dimension, a dropped ``writes=`` entry, a conditionally
+skipped charge) must flip the shipped tree from clean to caught.
 """
 
+import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro.analysis import audit
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.cli import main as analyze_main
 from repro.analysis.engine import all_rules, analyze_paths, run_analysis
 from repro.analysis.findings import EXIT_CLEAN, EXIT_FINDINGS
 from repro.analysis.sarif import render_sarif, to_sarif, validate_sarif
-from repro.errors import ConfigurationError
+from repro.errors import ShapeError
+from repro.gpu.device import GPUExecutor, SymArray
+from repro.perfmodel import costs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-SHAPE_RULES = ["RS121", "RS122", "RS123", "RS124", "RS125"]
+SHAPE_RULES = ["RS122", "RS123", "RS125"]
 
 
 def write_project(tmp_path, files):
@@ -49,182 +56,47 @@ def rules_of(findings):
 
 
 # ---------------------------------------------------------------------------
-# The @shaped runtime marker
+# Charged primitives: kernel dims follow transposes, slices and stacks
 # ---------------------------------------------------------------------------
 
-class TestShapedMarker:
-    def test_records_declaration_on_function(self):
-        from repro.analysis.annotations import shaped
+def _last_charge(ex):
+    phase, label, _seconds = ex.timeline.events[-1]
+    return phase, label
 
-        @shaped(params={"omega": ("l", "m"), "a": ("m", "n")},
-                returns=("l", "n"))
-        def sample(omega, a):
-            return omega
-
-        assert sample.__shaped__ == {
-            "returns": ("l", "n"),
-            "params": {"omega": ("l", "m"), "a": ("m", "n")}}
-        assert sample(3, 4) == 3  # runtime no-op
-
-    def test_scalar_dim_symbols_are_allowed(self):
-        from repro.analysis.annotations import shaped
-
-        @shaped(params={"k": "k"})
-        def take(k):
-            return k
-
-        assert take.__shaped__["params"] == {"k": "k"}
-
-    def test_rejects_empty_declarations(self):
-        from repro.analysis.annotations import shaped
-        with pytest.raises(ConfigurationError):
-            shaped(params={"a": ()})
-        with pytest.raises(ConfigurationError):
-            shaped(returns="")
-        with pytest.raises(ConfigurationError):
-            shaped(params={"a": ("m", 2)})
-
-    def test_shaped_is_exported_from_analysis(self):
-        import repro.analysis as analysis
-        assert "shaped" in analysis.__all__
-        assert callable(analysis.shaped)
-
-
-# ---------------------------------------------------------------------------
-# RS121: charged kernel dims vs the math actually performed
-# ---------------------------------------------------------------------------
-
-_RS121_BAD = (
-    "class Exec:\n"
-    "    def _t_gemm(self, r, c, k, phase='other'):\n"
-    "        pass\n"
-    "    def sample_gemm(self, omega, a):\n"
-    "        l, m = shape_of(omega)\n"
-    "        m2, n = shape_of(a)\n"
-    "        self._t_gemm(m, n, l, phase='sampling')\n"
-    "        return _mm(omega, a, self.backend)\n")
-
-_RS121_GOOD = _RS121_BAD.replace("self._t_gemm(m, n, l",
-                                 "self._t_gemm(l, n, m")
-
-
-class TestRS121:
-    def test_flags_swapped_charge_dimensions(self, tmp_path):
-        findings = run_rules(tmp_path, {"exec.py": _RS121_BAD},
-                             select=["RS121"])
-        assert rules_of(findings) == ["RS121"]
-        assert findings[0].line == 7
-        assert "charged GEMM dimensions" in findings[0].message
-
-    def test_matching_charge_is_clean(self, tmp_path):
-        findings = run_rules(tmp_path, {"exec.py": _RS121_GOOD},
-                             select=["RS121"])
-        assert findings == []
-
-    def test_shaped_declared_return_contradiction(self, tmp_path):
-        findings = run_rules(tmp_path, {"mod.py": (
-            "from repro.analysis.annotations import shaped\n"
-            "class Exec:\n"
-            "    @shaped(params={'omega': ('l', 'm'), 'a': ('m', 'n')},\n"
-            "            returns=('l', 'm'))\n"
-            "    def sample_gemm(self, omega, a):\n"
-            "        return _mm(omega, a, self.backend)\n")},
-            select=["RS121"])
-        assert rules_of(findings) == ["RS121"]
-        assert "@shaped declares" in findings[0].message
-
-    def test_shaped_consistent_return_is_clean(self, tmp_path):
-        findings = run_rules(tmp_path, {"mod.py": (
-            "from repro.analysis.annotations import shaped\n"
-            "class Exec:\n"
-            "    @shaped(params={'omega': ('l', 'm'), 'a': ('m', 'n')},\n"
-            "            returns=('l', 'n'))\n"
-            "    def sample_gemm(self, omega, a):\n"
-            "        return _mm(omega, a, self.backend)\n")},
-            select=["RS121"])
-        assert findings == []
-
-    def test_noqa_at_charge_site_suppresses(self, tmp_path):
-        noqad = _RS121_BAD.replace(
-            "phase='sampling')",
-            "phase='sampling')  # repro: noqa RS121")
-        findings = run_rules(tmp_path, {"exec.py": noqad},
-                             select=["RS121", "RS113"])
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# Symbolic-dim propagation: slices, transpose, stacked (Σl) batches
-# ---------------------------------------------------------------------------
 
 class TestShapePropagation:
-    def test_transpose_swaps_axes(self, tmp_path):
-        findings = run_rules(tmp_path, {"mod.py": (
-            "class Exec:\n"
-            "    def gram(self, b):\n"
-            "        l, n = shape_of(b)\n"
-            "        self._t_gemm(l, l, n, phase='other')\n"
-            "        return _mm(b, b.T, self.backend)\n")},
-            select=["RS121"])
-        assert findings == []
+    def test_transpose_swaps_axes(self):
+        # C = B A^T with B (l x n), A (m x n): an l x m x n GEMM.
+        ex = GPUExecutor(seed=0)
+        c = ex.iter_gemm_at(SymArray((8, 30)), SymArray((500, 30)))
+        assert c.shape == (8, 500)
+        assert _last_charge(ex) == ("gemm_iter", "gemm 8x500x30")
 
-    def test_transpose_mismatch_is_flagged(self, tmp_path):
-        findings = run_rules(tmp_path, {"mod.py": (
-            "class Exec:\n"
-            "    def gram(self, b):\n"
-            "        l, n = shape_of(b)\n"
-            "        self._t_gemm(n, n, l, phase='other')\n"
-            "        return _mm(b, b.T, self.backend)\n")},
-            select=["RS121"])
-        assert rules_of(findings) == ["RS121"]
+    def test_transpose_mismatch_is_flagged(self):
+        # Forgetting the transpose cannot be billed: the contraction
+        # dims disagree, so the primitive refuses before charging.
+        ex = GPUExecutor(seed=0)
+        b = SymArray((8, 30))
+        with pytest.raises(ShapeError, match="matmul mismatch"):
+            ex.gemm(b, b)
+        assert ex.timeline.events == []
 
-    # A scalar @shaped symbol seeds the slice bound, so ``b[:k]`` has
-    # rows ``k`` — without the declaration ``k`` is opaque and RS121
-    # abstains rather than guess.
-    _SLICED = (
-        "from repro.analysis.annotations import shaped\n"
-        "class Exec:\n"
-        "    @shaped(params={'k': 'k'})\n"
-        "    def head(self, b, y, k):\n"
-        "        l, n = shape_of(b)\n"
-        "        n2, t = shape_of(y)\n"
-        "        c = b[:k]\n"
-        "        self._t_gemm(k, t, n, phase='other')\n"
-        "        return _mm(c, y, self.backend)\n")
+    def test_head_slice_rows(self):
+        ex = GPUExecutor(seed=0)
+        out = ex.gemm(SymArray((8, 30))[:3], SymArray((30, 5)))
+        assert out.shape == (3, 5)
+        assert _last_charge(ex) == ("other", "gemm 3x5x30")
 
-    def test_head_slice_rows(self, tmp_path):
-        findings = run_rules(tmp_path, {"mod.py": self._SLICED},
-                             select=["RS121"])
-        assert findings == []
-
-    def test_head_slice_mismatch_is_flagged(self, tmp_path):
-        mutated = self._SLICED.replace("self._t_gemm(k, t, n",
-                                       "self._t_gemm(l, t, n")
-        findings = run_rules(tmp_path, {"mod.py": mutated},
-                             select=["RS121"])
-        assert rules_of(findings) == ["RS121"]
-
-    _STACKED = (
-        "class Exec:\n"
-        "    def sample_gemm_stacked(self, omegas, a):\n"
-        "        total_l = sum(shape_of(o)[0] for o in omegas)\n"
-        "        m, n = shape_of(a)\n"
-        "        self._t_gemm(total_l, n, m, phase='sampling')\n"
-        "        return [_mm(o, a, self.backend) for o in omegas]\n")
-
-    def test_stacked_sum_of_rider_rows_is_clean(self, tmp_path):
+    def test_stacked_sum_of_rider_rows_is_clean(self):
         # The coalesced batch charge: ONE (sum l_i) x n GEMM for the
-        # whole rider list (the repro.serve batcher's Σl case).
-        findings = run_rules(tmp_path, {"mod.py": self._STACKED},
-                             select=["RS121"])
-        assert findings == []
-
-    def test_stacked_swapped_dims_are_flagged(self, tmp_path):
-        mutated = self._STACKED.replace("self._t_gemm(total_l, n, m",
-                                        "self._t_gemm(total_l, m, n")
-        findings = run_rules(tmp_path, {"mod.py": mutated},
-                             select=["RS121"])
-        assert rules_of(findings) == ["RS121"]
+        # whole rider list (the repro.serve batcher's sum-l case).
+        ex = GPUExecutor(seed=0)
+        a = SymArray((40, 9))
+        blocks = ex.sample_gemm_stacked([SymArray((5, 40)),
+                                         SymArray((7, 40))], a)
+        assert [b.shape for b in blocks] == [(5, 9), (7, 9)]
+        assert [e[:2] for e in ex.timeline.events] \
+            == [("sampling", "gemm 12x9x40")]
 
 
 # ---------------------------------------------------------------------------
@@ -368,62 +240,78 @@ class TestRS123:
 
 
 # ---------------------------------------------------------------------------
-# RS124: asymptotic drift of the charged model vs the closed forms
+# RS124: the runtime cost audit against the Figure 5 closed forms
 # ---------------------------------------------------------------------------
 
-_MINI_COSTS = ("def gaussian_sampling_cost(m, n, l):\n"
-               "    flops = 2.0 * m * n * l\n"
-               "    return flops\n")
+@pytest.fixture(scope="module")
+def audit_table():
+    return {row[:3]: row for row in audit.audit_rows()}
 
-_MINI_EXEC = (
-    "class MiniExec:\n"
-    "    def charge(self, phase, seconds=0.0, flops=0.0):\n"
-    "        pass\n"
-    "    def _t_gemm(self, r, c, k, phase='other'):\n"
-    "        self.charge(phase, flops=2.0 * r * c * k)\n"
-    "    def sample_gemm(self, omega, a):\n"
-    "        l, m = shape_of(omega)\n"
-    "        m2, n = shape_of(a)\n"
-    "        self._t_gemm(l, n, m, phase='sampling')\n")
+
+def _audit_output(**kwargs):
+    buf = io.StringIO()
+    code = audit.audit_costs(out=buf, **kwargs)
+    return code, buf.getvalue()
+
+
+def _drifting(out):
+    """``(point, ng, phase)`` of every row the audit marked DRIFT."""
+    return {tuple(line.split()[:3]) for line in out.splitlines()
+            if line.endswith("<-- DRIFT")}
 
 
 class TestRS124:
-    def test_matching_model_is_clean(self, tmp_path):
-        findings = run_rules(tmp_path, {
-            "perfmodel/costs.py": _MINI_COSTS,
-            "gpu/mini.py": _MINI_EXEC}, select=["RS124"])
-        assert findings == []
+    """Charged per-phase flops vs the Figure 5 closed forms, once a
+    static rule (RS124) and now the runtime audit."""
 
-    def test_halved_charge_drifts(self, tmp_path):
-        mutated = _MINI_EXEC.replace("self._t_gemm(l, n, m",
-                                     "self._t_gemm(l, n // 2, m")
-        findings = run_rules(tmp_path, {
-            "perfmodel/costs.py": _MINI_COSTS,
-            "gpu/mini.py": mutated}, select=["RS124"])
-        assert rules_of(findings) == ["RS124"]
-        assert "sampling" in findings[0].message
-        assert "gaussian_sampling_cost" in findings[0].message
+    @pytest.mark.parametrize(
+        "cell", audit.AUDIT_CELLS,
+        ids=[f"{p}-ng{ng}-{phase}" for p, ng, phase in audit.AUDIT_CELLS])
+    def test_audited_cell_within_tolerance(self, cell, audit_table):
+        point, ng, phase, runtime, closed, drift = audit_table[cell]
+        assert runtime > 0
+        assert drift <= audit.DRIFT_TOLERANCE, \
+            f"{cell}: charged {runtime:.6g} vs closed form {closed:.6g}"
 
-    def test_wrong_closed_form_drifts(self, tmp_path):
-        # Drift is symmetric: a wrong coefficient in costs.py is the
-        # same finding as a wrong charge in the executor.
-        bad_costs = _MINI_COSTS.replace("2.0 * m * n * l",
-                                        "4.0 * m * n * l")
-        findings = run_rules(tmp_path, {
-            "perfmodel/costs.py": bad_costs,
-            "gpu/mini.py": _MINI_EXEC}, select=["RS124"])
-        assert rules_of(findings) == ["RS124"]
+    def test_fig15_single_device_drift_is_unchanged(self, audit_table):
+        drifts = {phase: round(100 * audit_table["fig15", 1, phase][5], 2)
+                  for phase in audit.COST_STEPS}
+        assert drifts == {"sampling": 0.0, "gemm_iter": 0.0,
+                          "orth_iter": 0.01, "qrcp": 0.0, "qr": 0.01}
 
-    def test_non_charging_executor_is_skipped(self, tmp_path):
-        # A host-reference executor whose hooks are no-ops has zero
-        # totals everywhere: that is not drift, it is abstention.
-        noop = _MINI_EXEC.replace(
-            "        self.charge(phase, flops=2.0 * r * c * k)\n",
-            "        pass\n")
-        findings = run_rules(tmp_path, {
-            "perfmodel/costs.py": _MINI_COSTS,
-            "gpu/mini.py": noop}, select=["RS124"])
-        assert findings == []
+    def test_matching_model_is_clean(self):
+        code, out = _audit_output()
+        assert code == EXIT_CLEAN, out
+        assert _drifting(out) == set()
+
+    def test_halved_charge_drifts(self, monkeypatch):
+        # Halve one dimension in the single-device GEMM charge step:
+        # every ng=1 GEMM phase drifts; the multi-GPU cells charge
+        # through their own step and stay clean.
+        original = GPUExecutor._t_gemm
+
+        def halved(self, m, n, k, phase, *args):
+            return original(self, m, n // 2, k, phase, *args)
+
+        monkeypatch.setattr(GPUExecutor, "_t_gemm", halved)
+        code, out = _audit_output()
+        assert code == EXIT_FINDINGS
+        assert _drifting(out) == {(point, "1", phase)
+                                  for point in audit.AUDIT_POINTS
+                                  for phase in ("sampling", "gemm_iter")}
+
+    def test_wrong_closed_form_drifts(self, monkeypatch):
+        # Drift is symmetric: a wrong coefficient in a closed form is
+        # the same finding as a wrong charge in the executor.
+        def doubled(m, n, l):
+            return costs.CostModel(4.0 * l * m * n, 0.0)
+
+        monkeypatch.setitem(audit.COST_STEPS, "sampling",
+                            (doubled, ("m", "n", "l"), 1.0))
+        code, out = _audit_output()
+        assert code == EXIT_FINDINGS
+        assert {cell[2] for cell in _drifting(out)} == {"sampling"}
+        assert "DRIFT in 5 cell(s)" in out
 
 
 # ---------------------------------------------------------------------------
@@ -493,42 +381,58 @@ class TestRS125:
 
 
 # ---------------------------------------------------------------------------
-# Load-bearing mutations: each rule must catch its seeded defect in the
-# REAL tree (not a fixture), and the unmutated tree must be clean.
+# Load-bearing mutations: each check must catch its seeded defect in a
+# copy of the REAL tree (not a fixture), and the unmutated copy must be
+# clean.  The audit measures the imported package, so it runs in a
+# subprocess that imports the copy.
 # ---------------------------------------------------------------------------
+
+_GEMM_DIMS = ("        m, k = shape_of(x)\n"
+              "        k_y, n = shape_of(y)\n")
+_GEMM_CHARGE = "        self._t_gemm(m, n, k, phase, split, reads)\n"
+
 
 class TestShapeMutationsRealTree:
     def _copy_tree(self, tmp_path):
         dest = tmp_path / "src" / "repro"
-        shutil.copytree(REPO_ROOT / "src" / "repro", dest)
+        shutil.copytree(REPO_ROOT / "src" / "repro", dest,
+                        ignore=shutil.ignore_patterns("__pycache__"))
         return dest
 
     def _mutate(self, dest, rel, old, new):
         target = dest / rel
         src = target.read_text(encoding="utf-8")
-        mutated = src.replace(old, new)
-        assert mutated != src, f"mutation target not found in {rel}"
-        target.write_text(mutated, encoding="utf-8")
+        assert src.count(old) == 1, f"mutation target not unique in {rel}"
+        target.write_text(src.replace(old, new), encoding="utf-8")
+
+    def _analyzer(self, tmp_path, *args):
+        """``python -m repro.analysis ARGS`` importing the copied tree."""
+        env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=300)
+        return proc.returncode, proc.stdout + proc.stderr
+
+    def _audit(self, tmp_path):
+        return self._analyzer(tmp_path, "--audit-costs")
 
     def test_unmutated_tree_is_clean(self, tmp_path):
         dest = self._copy_tree(tmp_path)
         findings = analyze_paths([dest], root=tmp_path / "src",
                                  select=SHAPE_RULES)
         assert findings == [], [f.render() for f in findings]
+        code, out = self._audit(tmp_path)
+        assert code == EXIT_CLEAN, out
 
-    def test_swapped_charge_dims_caught_by_rs121(self, tmp_path):
+    def test_wrong_operand_row_count_caught_by_audit(self, tmp_path):
         dest = self._copy_tree(tmp_path)
-        self._mutate(
-            dest, "gpu/device.py",
-            '        self._t_gemm(l, n, m, phase="sampling")\n'
-            "        return _mm(omega, a, self.backend)\n",
-            '        self._t_gemm(m, n, l, phase="sampling")\n'
-            "        return _mm(omega, a, self.backend)\n")
-        findings = analyze_paths([dest], root=tmp_path / "src",
-                                 select=["RS121"])
-        assert rules_of(findings) == ["RS121"], \
-            [f.render() for f in findings]
-        assert "device" in findings[0].path
+        self._mutate(dest, "gpu/device.py", _GEMM_DIMS,
+                     "        m, k = shape_of(y)[0], shape_of(x)[1]\n"
+                     "        k_y, n = shape_of(y)\n")
+        code, out = self._audit(tmp_path)
+        assert code == EXIT_FINDINGS, out
+        assert "DRIFT" in out and "fig15 ng=1 sampling" in out, out
 
     def test_dropped_writes_entry_caught_by_rs122(self, tmp_path):
         dest = self._copy_tree(tmp_path)
@@ -544,39 +448,37 @@ class TestShapeMutationsRealTree:
 
     def test_conditional_charge_caught_by_rs123(self, tmp_path):
         dest = self._copy_tree(tmp_path)
-        self._mutate(
-            dest, "gpu/device.py",
-            '        self._t_gemm(l, n, m, phase="sampling")\n'
-            "        return _mm(omega, a, self.backend)\n",
-            "        if l > 64:\n"
-            '            self._t_gemm(l, n, m, phase="sampling")\n'
-            "        return _mm(omega, a, self.backend)\n")
-        findings = analyze_paths([dest], root=tmp_path / "src",
-                                 select=["RS123"])
-        assert rules_of(findings) == ["RS123"], \
-            [f.render() for f in findings]
+        self._mutate(dest, "gpu/device.py", _GEMM_CHARGE,
+                     "        if m > 64:\n    " + _GEMM_CHARGE)
+        code, out = self._analyzer(tmp_path, "src/repro", "--select",
+                                   "RS123", "--no-baseline", "--no-cache")
+        assert code == EXIT_FINDINGS, out
+        found = [line for line in out.splitlines() if "RS123" in line]
+        assert len(found) == 1 and "gpu/device.py" in found[0], out
 
     def test_mischarged_coefficient_caught_by_rs124(self, tmp_path):
         dest = self._copy_tree(tmp_path)
-        self._mutate(
-            dest, "gpu/device.py",
-            '        self._t_gemm(l, n, m, phase="sampling")\n'
-            "        return _mm(omega, a, self.backend)\n",
-            '        self._t_gemm(l, n // 2, m, phase="sampling")\n'
-            "        return _mm(omega, a, self.backend)\n")
-        findings = analyze_paths([dest], root=tmp_path / "src",
-                                 select=["RS124"])
-        assert rules_of(findings) == ["RS124"], \
-            [f.render() for f in findings]
-        assert "sampling" in findings[0].message
+        self._mutate(dest, "gpu/device.py", _GEMM_CHARGE,
+                     _GEMM_CHARGE.replace("m, n, k", "m, n // 2, k"))
+        code, out = self._audit(tmp_path)
+        assert code == EXIT_FINDINGS, out
+        assert "DRIFT" in out and "fig15 ng=1 sampling" in out, out
 
 
 # ---------------------------------------------------------------------------
-# Incremental cache: warm runs replay shape findings with zero parses
+# Incremental cache: warm runs replay findings with zero parses
 # ---------------------------------------------------------------------------
+
+_RS123_BAD = (
+    "import repro.gpu.streams\n"
+    "class Exec:\n"
+    "    def sample_gemm(self, omega, a, l):\n"
+    "        if l > 64:\n"
+    "            self._t_gemm(l, 3, 4, phase='sampling')\n"
+    "        return _mm(omega, a, self.backend)\n")
 
 _CACHE_PROJ = {
-    "exec.py": _RS121_BAD,
+    "exec.py": _RS123_BAD,
     "other.py": "def unrelated():\n    return 1\n",
 }
 
@@ -589,7 +491,7 @@ class TestIncrementalCacheShapes:
         first = run_analysis([root], root=root, select=SHAPE_RULES,
                              cache=cache)
         assert first.stats.parses == 2
-        assert rules_of(first.findings) == ["RS121"]
+        assert rules_of(first.findings) == ["RS123"]
 
         cache2 = AnalysisCache(tmp_path / "cache")
         second = run_analysis([root], root=root, select=SHAPE_RULES,
@@ -608,65 +510,65 @@ class TestShapeSarif:
     def test_shape_rules_are_in_the_driver_catalog(self):
         registry = all_rules()
         assert set(SHAPE_RULES) <= set(registry)
+        assert not {"RS121", "RS124"} & set(registry)
 
     def test_cli_sarif_round_trip(self, tmp_path, capsys, monkeypatch):
-        root = write_project(tmp_path / "proj", {"exec.py": _RS121_BAD})
+        root = write_project(tmp_path / "proj", {"exec.py": _RS123_BAD})
         monkeypatch.chdir(tmp_path)
-        code = analyze_main([str(root), "--select", "RS121",
+        code = analyze_main([str(root), "--select", "RS123",
                              "--format", "sarif", "--no-baseline",
                              "--no-cache"])
         assert code == EXIT_FINDINGS
         log = json.loads(capsys.readouterr().out)
         assert validate_sarif(log) == []
         res = log["runs"][0]["results"][0]
-        assert res["ruleId"] == "RS121"
+        assert res["ruleId"] == "RS123"
         ids = [r["id"] for r in log["runs"][0]["tool"]["driver"]["rules"]]
-        assert ids[res["ruleIndex"]] == "RS121"
+        assert ids[res["ruleIndex"]] == "RS123"
 
     def test_render_matches_to_sarif(self, tmp_path):
-        findings = run_rules(tmp_path, {"exec.py": _RS121_BAD},
-                             select=["RS121"])
+        findings = run_rules(tmp_path, {"exec.py": _RS123_BAD},
+                             select=["RS123"])
+        assert rules_of(findings) == ["RS123"]
         registry = all_rules()
         assert json.loads(render_sarif(findings, registry)) \
             == to_sarif(findings, registry)
 
 
 # ---------------------------------------------------------------------------
-# --audit-costs: static totals vs an instrumented run vs closed forms
+# --audit-costs: the command-line gate
 # ---------------------------------------------------------------------------
 
 class TestAuditCosts:
-    def test_shipped_tree_passes_the_audit(self, capsys):
-        from repro.analysis.audit import audit_costs
-        code = audit_costs([REPO_ROOT / "src" / "repro"])
-        out = capsys.readouterr().out
+    def test_shipped_tree_passes_the_audit(self):
+        code, out = _audit_output()
         assert code == EXIT_CLEAN, out
-        for phase in ("sampling", "gemm_iter", "orth_iter", "qrcp", "qr"):
+        for phase in audit.COST_STEPS:
             assert phase in out
+        for point in audit.AUDIT_POINTS:
+            assert point in out
+        rows = [line for line in out.splitlines()
+                if line.split()[:1] and line.split()[0] in audit.AUDIT_POINTS]
+        assert len(rows) == len(audit.AUDIT_CELLS)
 
-    def test_audit_detects_a_mischarge(self, tmp_path, capsys):
-        # The static column reads the (mutated) tree on disk while the
-        # runtime column runs the installed code: a seeded mischarge
-        # shows up as static-vs-runtime drift.
-        from repro.analysis.audit import audit_costs
-        dest = tmp_path / "src" / "repro"
-        shutil.copytree(REPO_ROOT / "src" / "repro", dest)
-        target = dest / "gpu" / "device.py"
-        src = target.read_text(encoding="utf-8")
-        mutated = src.replace(
-            '        self._t_gemm(l, n, m, phase="sampling")\n'
-            "        return _mm(omega, a, self.backend)\n",
-            '        self._t_gemm(l, n // 2, m, phase="sampling")\n'
-            "        return _mm(omega, a, self.backend)\n")
-        assert mutated != src
-        target.write_text(mutated, encoding="utf-8")
-        code = audit_costs([dest])
-        out = capsys.readouterr().out
+    def test_audit_detects_a_mischarge(self, monkeypatch):
+        # A wrong orthogonalization flop count on one device: orth_iter
+        # and qr drift at ng=1 (the multi-GPU runtime has its own
+        # charge step for the distributed factorization).
+        from repro.gpu import device
+        monkeypatch.setattr(device, "qr_flops",
+                            lambda long, short: 3.0 * long * short * short)
+        code, out = _audit_output()
         assert code == EXIT_FINDINGS, out
-        assert "DRIFT" in out
+        assert {(p, ng, phase) for p, ng, phase in _drifting(out)
+                if ng == "1"} == {(point, "1", phase)
+                                  for point in audit.AUDIT_POINTS
+                                  for phase in ("orth_iter", "qr")}
 
     def test_cli_flag_is_wired(self, capsys, monkeypatch):
+        # The audit measures the imported package: positional paths,
+        # even missing ones, are ignored.
         monkeypatch.chdir(REPO_ROOT)
-        code = analyze_main(["src/repro", "--audit-costs"])
+        code = analyze_main(["no/such/path", "--audit-costs"])
         assert code == EXIT_CLEAN
         assert "audit-costs" in capsys.readouterr().out

@@ -20,6 +20,10 @@ class TestHierarchy:
     def test_cholesky_is_arithmetic_error(self):
         assert issubclass(errors.CholeskyBreakdownError, ArithmeticError)
 
+    def test_rank_deficient_is_arithmetic_error_with_rank(self):
+        assert issubclass(errors.RankDeficientError, ArithmeticError)
+        assert errors.RankDeficientError("r < k", rank=3).rank == 3
+
     def test_device_errors(self):
         assert issubclass(errors.OutOfDeviceMemoryError, errors.DeviceError)
         assert issubclass(errors.SymbolicExecutionError, errors.DeviceError)

@@ -6,8 +6,9 @@ import pytest
 from repro.config import SamplingConfig
 from repro.core.lowrank import best_rank_k_error
 from repro.core.random_sampling import random_sampling
-from repro.errors import (ConfigurationError, ShapeError,
-                          SymbolicExecutionError)
+from repro.backends.hostmath import LinAlgError
+from repro.errors import (ConfigurationError, RankDeficientError,
+                          ReproError, ShapeError, SymbolicExecutionError)
 from repro.gpu.device import GPUExecutor, NumpyExecutor, SymArray
 from repro.matrices.synthetic import exponent_matrix, power_matrix
 from repro.qr.qrcp import qp3_blocked
@@ -122,6 +123,39 @@ class TestValidation:
         a = rng.standard_normal((30, 40))
         with pytest.raises(ConfigurationError):
             random_sampling(a, SamplingConfig(rank=25, oversampling=10))
+
+
+class TestRankBelowK:
+    """A matrix whose rank is below ``k`` makes Step 2's ``R11``
+    singular; the solve reports the revealed rank as a typed error."""
+
+    @staticmethod
+    def _rank10_matrix():
+        rng = np.random.default_rng(0)
+        a = np.zeros((600, 120))
+        a[:, rng.choice(120, size=10, replace=False)] = \
+            rng.standard_normal((600, 10))
+        return a
+
+    @pytest.mark.parametrize("executor", [None, GPUExecutor(seed=1)],
+                             ids=["numpy", "gpu"])
+    def test_raises_typed_error_with_revealed_rank(self, executor):
+        cfg = SamplingConfig(rank=20, oversampling=10, power_iterations=1,
+                             seed=1)
+        with pytest.raises(RankDeficientError,
+                           match="numerical rank 10 < k=20") as info:
+            random_sampling(self._rank10_matrix(), cfg, executor=executor)
+        assert info.value.rank == 10
+        assert isinstance(info.value, ReproError)
+        assert isinstance(info.value, ArithmeticError)
+        assert isinstance(info.value.__cause__, LinAlgError)
+
+    def test_rank_at_most_revealed_rank_succeeds(self):
+        cfg = SamplingConfig(rank=10, oversampling=10, power_iterations=1,
+                             seed=1)
+        a = self._rank10_matrix()
+        f = random_sampling(a, cfg)
+        assert f.residual(a) < 1e-8
 
 
 class TestTimedRuns:

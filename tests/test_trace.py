@@ -64,60 +64,8 @@ class TestTimeLine:
         fr = TimeLine().fractions()
         assert all(v == 0.0 for v in fr.values())
 
-    def test_merge_max_takes_per_phase_maximum(self):
-        a, b = TimeLine(), TimeLine()
-        a.charge("sampling", 1.0)
-        a.charge("qr", 0.1)
-        b.charge("sampling", 0.5)
-        b.charge("qrcp", 0.2)
-        merged = a.merge_max([b])
-        assert merged.seconds("sampling") == pytest.approx(1.0)
-        assert merged.seconds("qr") == pytest.approx(0.1)
-        assert merged.seconds("qrcp") == pytest.approx(0.2)
-
-    def test_iadd_accumulates(self):
-        a, b = TimeLine(), TimeLine()
-        a.charge("qr", 1.0)
-        b.charge("qr", 2.0)
-        b.charge("comms", 0.5)
-        a += b
-        assert a.seconds("qr") == pytest.approx(3.0)
-        assert a.seconds("comms") == pytest.approx(0.5)
-
     def test_repr_mentions_total(self):
         t = TimeLine()
         t.charge("qr", 1.0)
         assert "total" in repr(t)
 
-
-class TestChromeTrace:
-    def test_events_serializable_and_sequential(self):
-        import json
-        t = TimeLine()
-        t.charge("sampling", 0.5, label="gemm A")
-        t.charge("qrcp", 0.25, label="qp3 B")
-        trace = t.to_chrome_trace()
-        json.dumps(trace)
-        xs = [e for e in trace if e["ph"] == "X"]
-        assert [e["name"] for e in xs] == ["gemm A", "qp3 B"]
-        assert xs[0]["ts"] == 0.0
-        assert xs[0]["dur"] == pytest.approx(5e5)
-        assert xs[1]["ts"] == pytest.approx(5e5)  # starts after event 0
-
-    def test_thread_metadata_per_phase(self):
-        from repro.gpu.trace import PHASES
-        trace = TimeLine().to_chrome_trace()
-        names = {e["args"]["name"] for e in trace
-                 if e.get("name") == "thread_name"}
-        assert names == set(PHASES)
-
-    def test_real_run_trace(self):
-        from repro import GPUExecutor, SamplingConfig, SymArray, \
-            random_sampling
-        ex = GPUExecutor(seed=0)
-        random_sampling(SymArray((10_000, 1_000)),
-                        SamplingConfig(rank=20, power_iterations=1,
-                                       seed=0), executor=ex)
-        trace = ex.timeline.to_chrome_trace()
-        cats = {e.get("cat") for e in trace if e["ph"] == "X"}
-        assert {"sampling", "gemm_iter", "qrcp", "qr"} <= cats
