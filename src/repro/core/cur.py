@@ -26,7 +26,8 @@ import numpy as np
 from ..analysis.annotations import allow_untimed_math
 from ..backends import hostmath
 from ..config import SamplingConfig
-from ..errors import ShapeError, SymbolicExecutionError
+from ..errors import (NonFiniteResultError, ShapeError,
+                      SymbolicExecutionError)
 from ..qr.utils import ensure_all_finite
 from ..gpu.device import ArrayLike, NumpyExecutor, is_symbolic, shape_of
 from .power import power_iterate
@@ -77,10 +78,19 @@ class CURDecomposition:
 def _core_factor(c: np.ndarray, a_np: np.ndarray,
                  r: np.ndarray) -> np.ndarray:
     """The least-squares-optimal core ``U = C^+ A R^+`` via two solves:
-    ``X = C^+ A`` (k x n), then ``U = X R^+ = (R^+^T X^T)^T``."""
+    ``X = C^+ A`` (k x n), then ``U = X R^+ = (R^+^T X^T)^T``.
+
+    Raises :class:`repro.errors.NonFiniteResultError` when ``U``
+    overflows (entries near underflow make the pseudo-inverses huge).
+    """
     x = hostmath.lstsq(c, a_np)
-    u_t = hostmath.lstsq(r.T, x.T)
-    return u_t.T
+    u = hostmath.lstsq(r.T, x.T).T
+    if not np.all(np.isfinite(u)):
+        raise NonFiniteResultError(
+            "the CUR core factor u has NaN or infinite entries: the "
+            "selected columns and rows are too close to underflow to "
+            "invert", factor="u")
+    return u
 
 
 def _select_pivots(ex: NumpyExecutor, a: ArrayLike,

@@ -13,6 +13,7 @@ __all__ = [
     "NotOrthogonalError",
     "CholeskyBreakdownError",
     "RankDeficientError",
+    "NonFiniteResultError",
     "ConvergenceError",
     "DeviceError",
     "OutOfDeviceMemoryError",
@@ -64,6 +65,19 @@ class RankDeficientError(ReproError, ArithmeticError):
     def __init__(self, message: str, rank=None):
         super().__init__(message)
         self.rank = rank
+
+
+class NonFiniteResultError(ReproError, ArithmeticError):
+    """A computed factor has NaN or infinite entries.
+
+    Raised instead of returning it, e.g. for the CUR core
+    ``C^+ A R^+`` of a matrix so close to underflow that the
+    pseudo-inverses overflow.  ``factor`` names the factor.
+    """
+
+    def __init__(self, message: str, factor=None):
+        super().__init__(message)
+        self.factor = factor
 
 
 class ConvergenceError(ReproError, RuntimeError):

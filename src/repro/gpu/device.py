@@ -30,8 +30,13 @@ backend; see ``docs/backends.md``.
 
 from __future__ import annotations
 
+import copy
+import functools
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from math import sqrt
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -215,6 +220,77 @@ def _words_bytes(flops: float, *operand_elems: int) -> float:
     return 8.0 * (flops / sqrt(DEFAULT_FAST_MEMORY) + sum(operand_elems))
 
 
+# -- Omega draw-ahead ------------------------------------------------------
+# One process-wide helper thread draws an executor's next Gaussian block
+# from a private copy of its generator while the caller's BLAS runs (see
+# NumpyExecutor.draw_ahead).  numpy's standard_normal releases the GIL,
+# so the draw only helps when BLAS leaves a core free.
+
+def _blas_threads(cores: int) -> int:
+    """The BLAS thread count the process was started with: the first of
+    these variables holding a positive count, else every core (there is
+    no runtime query without threadpoolctl).  OpenBLAS and MKL both let
+    their own variable override ``OMP_NUM_THREADS``, so it comes last."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        head = os.environ.get(var, "").split(",")[0].strip()
+        if head.isdigit() and int(head) > 0:
+            return int(head)
+    return cores
+
+
+@functools.lru_cache(maxsize=1)
+def _spare_core() -> bool:
+    """Whether BLAS leaves a usable core to the helper, decided once per
+    process.  With a BLAS thread on every core the helper preempts them,
+    and the GEMM it should hide behind gets slower."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        cores = os.cpu_count() or 1
+    return _blas_threads(cores) < cores
+
+
+_helper: Optional[ThreadPoolExecutor] = None
+_helper_lock = threading.Lock()
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """The draw-ahead thread, started on first use."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(max_workers=1,
+                                         thread_name_prefix="repro-omega")
+        return _helper
+
+
+def _forget_helper() -> None:
+    """A forked child has no helper thread: drop the parent's pool (a
+    draw queued on it would never run) and its lock (the fork may have
+    copied it held), so the child's first draw-ahead starts its own."""
+    global _helper, _helper_lock
+    _helper = None
+    _helper_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+class _Ahead(NamedTuple):
+    """A block :meth:`NumpyExecutor.draw_ahead` started."""
+
+    shape: Tuple[int, int]
+    #: The executor generator's state when the block was begun.
+    state: dict
+    #: The copy the helper draws from; its end state is committed.
+    private: np.random.Generator
+    future: Future
+    #: The pool running the draw (a pool from before a fork is dead).
+    pool: ThreadPoolExecutor
+
+
 class SimulatedGPU:
     """One simulated device: kernel model + timeline + memory.
 
@@ -289,6 +365,8 @@ class NumpyExecutor:
         self.backend = resolve_backend(backend)
         self._seed = seed
         self._rng: Optional[np.random.Generator] = None
+        #: The block :meth:`draw_ahead` started, if any.
+        self._ahead: Optional[_Ahead] = None
 
     @property
     def rng(self) -> np.random.Generator:
@@ -455,19 +533,76 @@ class NumpyExecutor:
                 f"has numerical rank {rank} < k={k}; request at most "
                 f"{rank} columns", rank=rank) from exc
 
+    # -- Omega draw-ahead -------------------------------------------------
+    def draw_ahead(self, rows: int, cols: int) -> None:
+        """Start drawing the next ``rows x cols`` Omega on the helper
+        thread, so the draw overlaps the caller's GEMM.
+
+        The helper draws from a private copy of :attr:`rng` taken now;
+        the executor's own generator does not move.  The next
+        :meth:`prng_gaussian` takes the block only if its shape matches
+        and the generator is still in the state copied here, and then
+        moves the generator to where the draw left the copy.  Otherwise
+        the block is dropped and Omega is drawn inline, so every Omega
+        is bit-identical to drawing inline.  An executor holds at most
+        one block: a second call replaces the first.  A no-op when BLAS
+        leaves no core free.
+        """
+        self._drop_ahead()
+        if not _spare_core():
+            return
+        rng = self.rng
+        state = rng.bit_generator.state
+        private = copy.deepcopy(rng)
+        pool = _helper_pool()
+        try:
+            # standard_normal is untimed: the helper never touches
+            # BackendStats, which is not thread-safe.
+            future = pool.submit(self.backend.standard_normal, private,
+                                 (rows, cols))
+        except RuntimeError:  # the interpreter is shutting down
+            return
+        self._ahead = _Ahead((rows, cols), state, private, future, pool)
+
+    def _drop_ahead(self) -> None:
+        ahead, self._ahead = self._ahead, None
+        # A block from before a fork is left alone: the fork may have
+        # copied its future's lock held.
+        if ahead is not None and ahead.pool is _helper:
+            ahead.future.cancel()
+
+    def _omega(self, rows: int, cols: int) -> np.ndarray:
+        """The next ``rows x cols`` block of the executor's Gaussian
+        stream: the drawn-ahead block when it is that block, else an
+        inline draw.  A draw the helper has not started yet is
+        cancelled rather than waited for, so a caller never queues
+        behind another executor's draw."""
+        rng, ahead = self.rng, self._ahead
+        if (ahead is not None and ahead.pool is _helper
+                and ahead.shape == (rows, cols)
+                and rng.bit_generator.state == ahead.state
+                and not ahead.future.cancel()):
+            self._ahead = None
+            omega = ahead.future.result()
+            rng.bit_generator.state = ahead.private.bit_generator.state
+            return omega
+        self._drop_ahead()
+        return self.backend.standard_normal(rng, (rows, cols))
+
     # -- operations -------------------------------------------------------
     @residency(returns="device")
     def prng_gaussian(self, rows: int, cols: int,
                       symbolic: bool = False) -> ArrayLike:
         """Generate the ``rows x cols`` Gaussian sampling matrix Omega
-        (cuRAND in the paper)."""
+        (cuRAND in the paper), taking it from :meth:`draw_ahead` when
+        that drew this block."""
         self._t_prng(rows * cols)
         if symbolic:
             if not self.supports_symbolic:
                 raise SymbolicExecutionError(
                     "this executor does not support symbolic arrays")
             return SymArray((rows, cols))
-        return self.backend.standard_normal(self.rng, (rows, cols))
+        return self._omega(rows, cols)
 
     @residency(returns="device")
     def sample_gemm(self, omega: ArrayLike, a: ArrayLike) -> ArrayLike:

@@ -134,14 +134,19 @@ def _make_executor(req: DecompRequest, recorder: Optional[SpanRecorder],
     return ex
 
 
+def _batch(plan: BatchPlan, stacked: int, coalesced: bool) -> Dict:
+    """What a rider of ``plan`` reports about the batch it rode."""
+    return {"batch_id": plan.batch_id, "size": stacked,
+            "coalesced": coalesced}
+
+
 def _finish(req: DecompRequest, artifact: ResultArtifact,
-            plan: BatchPlan, stacked: int,
-            coalesced: bool) -> ResultArtifact:
-    artifact.batch = {"batch_id": plan.batch_id, "size": stacked,
-                      "coalesced": coalesced}
+            batch: Dict) -> ResultArtifact:
+    artifact.batch = dict(batch)
     artifact.spans = {"run": req.request_id,
                       "labels": [req.request_id],
-                      "batch_run": plan.batch_id if coalesced else None}
+                      "batch_run": (batch["batch_id"] if batch["coalesced"]
+                                    else None)}
     artifact.backend = req.backend
     return artifact
 
@@ -196,7 +201,8 @@ def run_jobs(plan: BatchPlan,
              default_backend: Optional[str] = None,
              skip: Optional[Callable[[DecompRequest],
                                      Optional[ServeError]]] = None,
-             on_result: Optional[Callable[[str, Outcome], None]] = None
+             on_result: Optional[Callable[[str, Outcome, Optional[Dict]],
+                                          None]] = None
              ) -> Dict[str, Outcome]:
     """Execute one plan synchronously; map request id -> outcome.
 
@@ -213,14 +219,17 @@ def run_jobs(plan: BatchPlan,
     ``on_result`` fires the moment each request's outcome is known
     (still on the worker thread) — the service bridges it back to the
     event loop so early riders of a batch complete without waiting for
-    their batch-mates' Steps 2-3.
+    their batch-mates' Steps 2-3.  Its third argument describes the
+    batch the request rode (the ``ResultArtifact.batch`` dict, whatever
+    the outcome), or is None for a request skipped before its batch ran.
     """
     results: Dict[str, Outcome] = {}
 
-    def emit(request_id: str, outcome: Outcome) -> None:
+    def emit(request_id: str, outcome: Outcome,
+             batch: Optional[Dict] = None) -> None:
         results[request_id] = outcome
         if on_result is not None:
-            on_result(request_id, outcome)
+            on_result(request_id, outcome, batch)
 
     live: List[DecompRequest] = []
     for req in plan.requests:
@@ -234,6 +243,7 @@ def run_jobs(plan: BatchPlan,
     a = live[0].matrix.materialize()
 
     if not (plan.key is not None and len(live) > 1):
+        batch = _batch(plan, stacked=1, coalesced=False)
         for req in live:
             matrix = a if req.matrix == live[0].matrix else \
                 req.matrix.materialize()
@@ -241,13 +251,12 @@ def run_jobs(plan: BatchPlan,
                 artifact = _run_solo(req, matrix, recorder,
                                      default_backend)
             except ServeError as exc:
-                emit(req.request_id, exc)
+                emit(req.request_id, exc, batch)
                 continue
             except Exception as exc:  # surface per request, keep going
-                emit(req.request_id, exc)
+                emit(req.request_id, exc, batch)
                 continue
-            emit(req.request_id, _finish(
-                req, artifact, plan, stacked=1, coalesced=False))
+            emit(req.request_id, _finish(req, artifact, batch), batch)
         return results
 
     # --- coalesced fixed-rank path --------------------------------------
@@ -273,12 +282,15 @@ def run_jobs(plan: BatchPlan,
             b_blocks = batch_ex.sample_gemm_stacked(omegas, a)
     gemm_seconds = batch_ex.seconds
     total_l = sum(req.sample_size for req in live)
+    batch = _batch(plan, stacked=len(live), coalesced=True)
 
     for req, b_slice in zip(live, b_blocks):
         l = req.sample_size
         verdict = skip(req) if skip is not None else None
-        if verdict is not None:  # cancelled mid-batch: Omega rode the
-            emit(req.request_id, verdict)  # GEMM, pipeline skipped
+        if verdict is not None:
+            # Cancelled mid-batch: Omega rode the GEMM, the pipeline is
+            # skipped.
+            emit(req.request_id, verdict, batch)
             continue
         share = gemm_seconds * (l / total_l)
         ex = executors[req.request_id]
@@ -289,7 +301,7 @@ def run_jobs(plan: BatchPlan,
                                           executor=ex, check_finite=False,
                                           presampled=b_slice)
         except Exception as exc:
-            emit(req.request_id, exc)
+            emit(req.request_id, exc, batch)
             continue
         breakdown = dict(factors.breakdown)
         breakdown["sampling"] = breakdown.get("sampling", 0.0) + share
@@ -303,6 +315,5 @@ def run_jobs(plan: BatchPlan,
             breakdown=breakdown,
             wall_run_s=time.perf_counter() - walls[req.request_id],
             payload=factors)
-        emit(req.request_id, _finish(
-            req, artifact, plan, stacked=len(live), coalesced=True))
+        emit(req.request_id, _finish(req, artifact, batch), batch)
     return results

@@ -46,6 +46,8 @@ class ServiceCounters:
 
     submitted: int = 0
     completed: int = 0
+    #: Requests whose own math raised (anything but a rejection).
+    failed: int = 0
     #: Rejections/terminations by taxonomy reason (queue_full, closed,
     #: invalid, deadline, cancelled).
     rejections: Dict[str, int] = field(
@@ -65,6 +67,7 @@ class ServiceCounters:
         """Zero every counter in place (e.g. after a warmup wave)."""
         self.submitted = 0
         self.completed = 0
+        self.failed = 0
         self.rejections = {r: 0 for r in REJECTION_REASONS}
         self.queue_depth = 0
         self.max_queue_depth = 0
@@ -91,6 +94,9 @@ class ServiceCounters:
         self.batch_sizes.append(size)
         if size > 1:
             self.coalesced_requests += size
+
+    def note_failed(self) -> None:
+        self.failed += 1
 
     def note_completed(self, latency_s: float, queue_wait_s: float) -> None:
         self.completed += 1
@@ -126,6 +132,7 @@ class ServiceCounters:
         return {
             "submitted": self.submitted,
             "completed": self.completed,
+            "failed": self.failed,
             "rejections": dict(self.rejections),
             "max_queue_depth": self.max_queue_depth,
             "batches": self.batches,

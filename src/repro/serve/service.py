@@ -286,9 +286,16 @@ class LowRankService:
             return None
         return verdict
 
-    def _finish_job(self, job: _Job, outcome,
+    def _finish_job(self, job: _Job, outcome, batch: Optional[Dict],
                     noted_batches: set) -> None:
-        """Resolve one job's future (event-loop thread)."""
+        """Resolve one job's future (event-loop thread).
+
+        ``batch`` is the batch the rider rode (None if it never reached
+        one); each batch is noted once, whatever its riders' outcomes.
+        """
+        if batch is not None and batch["batch_id"] not in noted_batches:
+            noted_batches.add(batch["batch_id"])
+            self.counters.note_batch(batch["size"])
         if isinstance(outcome, ResultArtifact):
             latency = time.monotonic() - job.enqueued_t
             outcome.service_latency_s = latency
@@ -297,12 +304,11 @@ class LowRankService:
                 self.counters.note_completed(latency,
                                              outcome.queue_wait_s)
                 job.future.set_result(outcome)
-            key = outcome.batch["batch_id"]
-            if key not in noted_batches:
-                noted_batches.add(key)
-                self.counters.note_batch(outcome.batch["size"])
         elif isinstance(outcome, BaseException):
             if not job.future.done():
+                if not isinstance(outcome, ServeError):
+                    # Rejections are counted where they are raised.
+                    self.counters.note_failed()
                 job.future.set_exception(outcome)
                 # The submitter may already be gone (expired deadline):
                 # mark the exception retrieved so the event loop does
@@ -317,12 +323,13 @@ class LowRankService:
         loop = asyncio.get_running_loop()
         noted_batches: set = set()
 
-        def on_result(request_id: str, outcome) -> None:
+        def on_result(request_id: str, outcome,
+                      batch: Optional[Dict]) -> None:
             # Worker thread -> event loop: complete each rider the
             # moment its own pipeline finishes, not when the whole
             # batch does.
             loop.call_soon_threadsafe(
-                self._finish_job, jobs_by_id[request_id], outcome,
+                self._finish_job, jobs_by_id[request_id], outcome, batch,
                 noted_batches)
 
         try:
@@ -342,7 +349,7 @@ class LowRankService:
         for req in plan.requests:
             job = jobs_by_id[req.request_id]
             if not job.future.done():
-                self._finish_job(job, results.get(req.request_id),
+                self._finish_job(job, results.get(req.request_id), None,
                                  noted_batches)
 
     async def _batch_loop(self) -> None:

@@ -19,9 +19,11 @@ import pytest
 
 from repro.backends.base import ComputeBackend
 from repro.bench.harness import observed_fixed_rank, timed_fixed_rank
-from repro.config import SamplingConfig
+import repro.gpu.device as device
+from repro.config import AdaptiveConfig, SamplingConfig
+from repro.core.adaptive import adaptive_sampling
 from repro.core.random_sampling import random_sampling
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SymbolicExecutionError
 from repro.gpu.device import GPUExecutor, SimulatedGPU, SymArray
 from repro.gpu.multigpu import MultiGPUExecutor
 from repro.gpu.streams import StreamScheduler
@@ -228,19 +230,38 @@ class TestNonFiniteCharges:
 class TestLazyRng:
     @pytest.fixture
     def make_rng_calls(self, monkeypatch):
+        """Seeds passed to ``make_rng``, plus ``"helper"`` for each
+        request for the Omega draw-ahead thread (forced available, as
+        tier-1 runs with BLAS unpinned)."""
         calls = []
         original = ComputeBackend.make_rng
+        helper_pool = device._helper_pool
 
         def counting(self, seed=None):
             calls.append(seed)
             return original(self, seed)
+
+        def counting_helper():
+            calls.append("helper")
+            return helper_pool()
         monkeypatch.setattr(ComputeBackend, "make_rng", counting)
+        monkeypatch.setattr(device, "_spare_core", lambda: True)
+        monkeypatch.setattr(device, "_helper_pool", counting_helper)
         return calls
 
     @pytest.mark.parametrize("ng", [1, 3])
     def test_symbolic_run_never_seeds(self, make_rng_calls, ng):
         timing = timed_fixed_rank(50_000, 2_500, ng=ng, seed=7)
         assert timing.total > 0
+        assert make_rng_calls == []
+
+    @pytest.mark.parametrize("rule", ["static", "interpolate"])
+    def test_symbolic_adaptive_run_never_draws_ahead(self, make_rng_calls,
+                                                     rule):
+        cfg = AdaptiveConfig(tolerance=1e-6, step_rule=rule, seed=3)
+        with pytest.raises(SymbolicExecutionError):
+            adaptive_sampling(SymArray((5_000, 500)), cfg,
+                              executor=GPUExecutor(seed=3))
         assert make_rng_calls == []
 
     def test_first_draw_seeds_once(self, make_rng_calls):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.config import SamplingConfig
 from repro.core.cur import cur_decomposition
-from repro.errors import SymbolicExecutionError
+from repro.errors import (NonFiniteResultError, ReproError,
+                          SymbolicExecutionError)
 from repro.gpu.device import GPUExecutor, SymArray
 from repro.matrices.hapmap_like import hapmap_like_matrix
 
@@ -69,3 +70,20 @@ class TestCUR:
         d2 = cur_decomposition(lowrank_matrix, cfg)
         np.testing.assert_array_equal(d1.cols, d2.cols)
         np.testing.assert_array_equal(d1.rows, d2.rows)
+
+    def test_core_overflow_near_underflow_raises_typed_error(self):
+        """Entries near underflow make the core's pseudo-inverses
+        overflow: a typed error naming ``u``, never a silent +-Inf."""
+        rng = np.random.default_rng(0)
+        base = (rng.standard_normal((600, 20))
+                @ rng.standard_normal((20, 120)))
+        cfg = SamplingConfig(rank=20, oversampling=10, power_iterations=1,
+                             seed=1)
+        with pytest.raises(NonFiniteResultError) as ei:
+            cur_decomposition(base * 1e-310, cfg)
+        assert ei.value.factor == "u" and "u" in str(ei.value)
+        assert isinstance(ei.value, ReproError)
+        assert isinstance(ei.value, ArithmeticError)
+        # Ten orders of magnitude up, the core is huge but finite.
+        u = cur_decomposition(base * 1e-300, cfg).u
+        assert np.all(np.isfinite(u)) and np.max(np.abs(u)) > 1e298

@@ -15,9 +15,10 @@ import pytest
 from repro import backends
 from repro.backends.numpy_backend import NumpyBackend
 from repro.core.random_sampling import random_sampling
-from repro.errors import (ConfigurationError, DeadlineExceededError,
-                          InvalidRequestError, QueueFullError,
-                          REJECTION_REASONS, ServiceClosedError)
+from repro.errors import (CholeskyBreakdownError, ConfigurationError,
+                          DeadlineExceededError, InvalidRequestError,
+                          QueueFullError, REJECTION_REASONS,
+                          ServiceClosedError)
 from repro.matrices.registry import (clear_matrix_cache, get_matrix,
                                      matrix_cache_info)
 from repro.obs.chrome import spans_to_chrome, validate_chrome_trace
@@ -502,6 +503,48 @@ class TestPipelinedLoop:
         assert np.array_equal(art.payload.q, solo.q)
         assert np.array_equal(art.payload.r, solo.r)
         assert np.array_equal(art.payload.perm, solo.perm)
+
+
+    @pytest.mark.parametrize("failing", [1, 4])
+    def test_failing_riders_keep_batch_mates_and_counters_consistent(
+            self, monkeypatch, failing):
+        import repro.serve.batcher as batcher_mod
+        real = batcher_mod.random_sampling
+        riders = [req(rank=8 + i, seed=120 + i) for i in range(4)]
+        victims = {r.seed: CholeskyBreakdownError(f"injected {r.seed}")
+                   for r in riders[:failing]}
+
+        def flaky(a, config, **kwargs):
+            if config.seed in victims:
+                raise victims[config.seed]
+            return real(a, config, **kwargs)
+
+        monkeypatch.setattr(batcher_mod, "random_sampling", flaky)
+
+        async def drive():
+            cfg = ServeConfig(batch_window_s=0.2, max_batch=8)
+            svc = LowRankService(cfg)
+            await svc.start()
+            outs = await asyncio.wait_for(asyncio.gather(
+                *(svc.submit(r) for r in riders),
+                return_exceptions=True), 20)
+            await asyncio.wait_for(svc.close(), 10)
+            return svc.counters, outs
+        counters, outs = asyncio.run(drive())
+        a = REF.materialize()
+        for r, out in zip(riders, outs):
+            if r.seed in victims:
+                assert out is victims[r.seed]
+                continue
+            assert out.batch["coalesced"]
+            solo = real(a, r.sampling_config())
+            assert np.array_equal(out.payload.q, solo.q)
+            assert np.array_equal(out.payload.r, solo.r)
+            assert np.array_equal(out.payload.perm, solo.perm)
+        assert counters.failed == failing
+        assert counters.submitted == (counters.completed + counters.failed
+                                      + sum(counters.rejections.values()))
+        assert counters.batch_sizes == [4]
 
 
 # ----------------------------------------------------------------------
