@@ -38,7 +38,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import CholeskyBreakdownError
+from ..errors import CholeskyBreakdownError, NonFiniteResultError
 from . import hostmath
 
 __all__ = ["BackendStats", "ComputeBackend"]
@@ -170,10 +170,24 @@ class ComputeBackend(abc.ABC):
         """Upper Cholesky factor ``R`` with ``R^T R = g`` (POTRF).
 
         Raises :class:`repro.errors.CholeskyBreakdownError` when ``g``
-        is not numerically SPD, whatever the native failure type.
+        is not numerically SPD, whatever the native failure type, and
+        :class:`repro.errors.NonFiniteResultError` (``factor="gram"``)
+        when ``g`` has NaN or infinite entries: an overflowed Gram
+        matrix, which no shift or Householder fallback can repair.
         """
         with _KernelTimer(self.stats):
-            return self._cholesky(g)
+            try:
+                return self._cholesky(g)
+            except (CholeskyBreakdownError, ValueError) as exc:
+                # Checked only after the kernel failed (SciPy's own
+                # finiteness check raises ValueError), so an SPD Gram
+                # pays nothing for it.
+                if np.isfinite(g).all():
+                    raise
+                raise NonFiniteResultError(
+                    "the Gram matrix has NaN or infinite entries: its "
+                    "input is non-finite or too large to square in "
+                    "float64", factor="gram") from exc
 
     def solve_triangular(self, r: np.ndarray, b: np.ndarray,
                          lower: bool = False,

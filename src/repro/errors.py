@@ -72,7 +72,9 @@ class NonFiniteResultError(ReproError, ArithmeticError):
 
     Raised instead of returning it, e.g. for the CUR core
     ``C^+ A R^+`` of a matrix so close to underflow that the
-    pseudo-inverses overflow.  ``factor`` names the factor.
+    pseudo-inverses overflow, or for a Gram matrix that overflowed
+    because its input was too large to square (``factor="gram"``).
+    ``factor`` names the factor.
     """
 
     def __init__(self, message: str, factor=None):

@@ -105,7 +105,7 @@ class _Job:
     """Queue entry: a request plus its completion future and clocks."""
 
     __slots__ = ("request", "future", "enqueued_t", "deadline_t",
-                 "expired", "cancelled")
+                 "expired", "cancelled", "counted")
 
     def __init__(self, request: DecompRequest, future: asyncio.Future,
                  enqueued_t: float, deadline_t: Optional[float]) -> None:
@@ -115,6 +115,10 @@ class _Job:
         self.deadline_t = deadline_t
         self.expired = False
         self.cancelled = False
+        #: Set by whoever resolves the submitter, which counts the
+        #: request: its own deadline or cancel in ``submit``, or the
+        #: outcome ``_finish_job`` delivers.  Each request counts once.
+        self.counted = False
 
 
 _STOP = object()
@@ -218,7 +222,11 @@ class LowRankService:
             return await asyncio.wait_for(
                 asyncio.shield(job.future), timeout)
         except asyncio.TimeoutError:
-            job.expired = True
+            if job.counted:
+                # The outcome landed in the timer's own loop turn and is
+                # already counted: deliver it.
+                return await job.future
+            job.expired = job.counted = True
             self.counters.note_rejected("deadline")
             raise DeadlineExceededError(
                 f"request {request.request_id} missed its "
@@ -228,7 +236,9 @@ class LowRankService:
         except asyncio.CancelledError:
             job.cancelled = True
             job.future.cancel()
-            self.counters.note_rejected("cancelled")
+            if not job.counted:
+                job.counted = True
+                self.counters.note_rejected("cancelled")
             raise
 
     # -- batch loop --------------------------------------------------------
@@ -292,31 +302,38 @@ class LowRankService:
 
         ``batch`` is the batch the rider rode (None if it never reached
         one); each batch is noted once, whatever its riders' outcomes.
+        The request is counted here (completed, failed, or rejected by
+        a skip verdict) unless its submitter already gave up and
+        counted it.
         """
         if batch is not None and batch["batch_id"] not in noted_batches:
             noted_batches.add(batch["batch_id"])
             self.counters.note_batch(batch["size"])
+        if job.future.done():
+            return
+        if outcome is None:
+            job.future.cancel()  # the submitter counts the cancel
+            return
+        count = not job.counted
+        job.counted = True
         if isinstance(outcome, ResultArtifact):
             latency = time.monotonic() - job.enqueued_t
             outcome.service_latency_s = latency
             outcome.queue_wait_s = max(0.0, latency - outcome.wall_run_s)
-            if not job.future.done():
-                self.counters.note_completed(latency,
-                                             outcome.queue_wait_s)
-                job.future.set_result(outcome)
-        elif isinstance(outcome, BaseException):
-            if not job.future.done():
-                if not isinstance(outcome, ServeError):
-                    # Rejections are counted where they are raised.
-                    self.counters.note_failed()
-                job.future.set_exception(outcome)
-                # The submitter may already be gone (expired deadline):
-                # mark the exception retrieved so the event loop does
-                # not warn about it.
-                job.future.add_done_callback(
-                    lambda f: f.cancelled() or f.exception())
-        elif not job.future.done():
-            job.future.cancel()
+            if count:
+                self.counters.note_completed(latency, outcome.queue_wait_s)
+            job.future.set_result(outcome)
+            return
+        if count:
+            if isinstance(outcome, ServeError):
+                self.counters.note_rejected(outcome.reason)
+            else:
+                self.counters.note_failed()
+        job.future.set_exception(outcome)
+        # The submitter may already be gone (expired deadline): mark the
+        # exception retrieved so the event loop does not warn about it.
+        job.future.add_done_callback(
+            lambda f: f.cancelled() or f.exception())
 
     async def _dispatch(self, plan: BatchPlan,
                         jobs_by_id: Dict[str, _Job]) -> None:

@@ -25,7 +25,8 @@ from repro.backends import (BACKENDS, DEFAULT_BACKEND, CupyBackend,
 from repro.backends.base import BackendStats, ComputeBackend
 from repro.config import AdaptiveConfig, SamplingConfig
 from repro.core.random_sampling import random_sampling
-from repro.errors import CholeskyBreakdownError, ConfigurationError
+from repro.errors import (CholeskyBreakdownError, ConfigurationError,
+                          NonFiniteResultError)
 from repro.matrices.registry import get_matrix, list_matrices
 
 torch_missing = not TorchBackend.available()
@@ -121,6 +122,24 @@ class TestKernelContract:
         bk = NumpyBackend()
         with pytest.raises(CholeskyBreakdownError):
             bk.cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    @pytest.mark.parametrize("name", [
+        "simulated", "numpy",
+        pytest.param("torch", marks=pytest.mark.skipif(
+            torch_missing, reason="torch not installed"))])
+    @pytest.mark.parametrize("scale", [1e200, np.nan])
+    def test_cholesky_of_non_finite_gram_is_not_a_breakdown(self, name,
+                                                            scale):
+        # An overflowed Gram is no breakdown a shift could repair: the
+        # typed error must stay out of every CholeskyBreakdownError
+        # fallback, on every backend.
+        b = scale * np.random.default_rng(0).standard_normal((4, 30))
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = b @ b.T
+        with pytest.raises(NonFiniteResultError) as ei:
+            make_backend(name).cholesky(g)
+        assert ei.value.factor == "gram"
+        assert not isinstance(ei.value, CholeskyBreakdownError)
 
     def test_rng_shared_across_backends(self):
         # Omega must be backend-independent: always numpy PCG64.

@@ -281,6 +281,63 @@ class TestServiceContracts:
                 assert svc.counters.rejections["deadline"] == 1
         asyncio.run(drive())
 
+    def test_deadline_during_pipeline_counts_once(self, monkeypatch):
+        # The submitter's timer fires while the request's pipeline
+        # runs; the pipeline's late result must not count it again.
+        import repro.serve.batcher as batcher_mod
+        real = batcher_mod.random_sampling
+        ran = []
+
+        def slow(a, config, **kwargs):
+            ran.append(config.seed)
+            time.sleep(0.4)
+            return real(a, config, **kwargs)
+
+        monkeypatch.setattr(batcher_mod, "random_sampling", slow)
+
+        async def drive():
+            svc = LowRankService(ServeConfig(batch_window_s=0.0))
+            await svc.start()
+            with pytest.raises(DeadlineExceededError):
+                await svc.submit(req(seed=130, deadline_s=0.1))
+            await asyncio.wait_for(svc.close(), 10)
+            return svc.counters
+        counters = asyncio.run(drive())
+        assert ran == [130]
+        assert counters.rejections["deadline"] == 1
+        assert counters.completed == counters.failed == 0
+        assert counters.submitted == (counters.completed + counters.failed
+                                      + sum(counters.rejections.values()))
+
+    def test_expiry_verdict_before_the_timer_counts_once(self,
+                                                         monkeypatch):
+        # run_jobs' "expired before dispatch" verdict reaches the
+        # submitter while its own timer is still pending (the verdict's
+        # clock reads past the deadline before the event loop's does).
+        real = LowRankService._skip_verdict
+
+        def late_clock(self, jobs_by_id):
+            for job in jobs_by_id.values():
+                job.deadline_t -= 60.0
+            return real(self, jobs_by_id)
+
+        monkeypatch.setattr(LowRankService, "_skip_verdict", late_clock)
+
+        async def drive():
+            svc = LowRankService(ServeConfig(batch_window_s=0.0))
+            await svc.start()
+            with pytest.raises(DeadlineExceededError,
+                               match="expired before dispatch"):
+                await asyncio.wait_for(
+                    svc.submit(req(seed=131, deadline_s=30.0)), 10)
+            await asyncio.wait_for(svc.close(), 10)
+            return svc.counters
+        counters = asyncio.run(drive())
+        assert counters.rejections["deadline"] == 1
+        assert counters.completed == counters.failed == 0
+        assert counters.submitted == (counters.completed + counters.failed
+                                      + sum(counters.rejections.values()))
+
     def test_cancellation_mid_batch(self):
         async def drive():
             cfg = ServeConfig(batch_window_s=0.2, max_batch=4)

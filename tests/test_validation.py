@@ -7,7 +7,8 @@ import pytest
 from repro import (AdaptiveConfig, GPUExecutor, SamplingConfig, SymArray,
                    adaptive_sampling, cur_decomposition, random_sampling,
                    randomized_svd)
-from repro.errors import OutOfDeviceMemoryError, ShapeError
+from repro.errors import (CholeskyBreakdownError, NonFiniteResultError,
+                          OutOfDeviceMemoryError, ReproError, ShapeError)
 from repro.qr.utils import ensure_all_finite
 
 
@@ -77,6 +78,55 @@ class TestEntryPointGuards:
     def test_cur_rejects_nan(self, nan_matrix):
         with pytest.raises(ShapeError):
             cur_decomposition(nan_matrix, SamplingConfig(rank=5, seed=0))
+
+
+def _entry_points():
+    """The four public entry points, at k = 20, l = 30, q = 1."""
+    cfg = SamplingConfig(rank=20, oversampling=10, power_iterations=1,
+                         seed=1)
+    return {
+        "fixed_rank": lambda a: random_sampling(a, cfg),
+        "rsvd": lambda a: randomized_svd(a, cfg),
+        "cur": lambda a: cur_decomposition(a, cfg),
+        "adaptive": lambda a: adaptive_sampling(a, AdaptiveConfig(
+            tolerance=1e-8, power_iterations=1, seed=1)),
+    }
+
+
+@pytest.fixture(scope="module")
+def rank20():
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((600, 20)) @ rng.standard_normal((20, 120))
+
+
+class TestExtremeScales:
+    @pytest.mark.parametrize("entry", sorted(_entry_points()))
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_overflowed_gram_raises_typed_error(self, rank20, entry):
+        # Finite entries near 1e200 pass the entry scan, but their Gram
+        # matrix overflows float64.
+        with pytest.raises(NonFiniteResultError) as ei:
+            _entry_points()[entry](rank20 * 1e200)
+        assert isinstance(ei.value, ReproError)
+        assert isinstance(ei.value, ArithmeticError)
+        assert ei.value.factor == "gram"
+
+    @pytest.mark.parametrize("entry, expected", [
+        ("fixed_rank", CholeskyBreakdownError),
+        ("rsvd", CholeskyBreakdownError),
+        ("cur", NonFiniteResultError),
+        ("adaptive", None),
+    ])
+    def test_near_underflow_keeps_its_outcomes(self, rank20, entry,
+                                               expected):
+        run = _entry_points()[entry]
+        if expected is None:
+            assert run(rank20 * 1e-310).converged
+            return
+        with pytest.raises(expected) as ei:
+            run(rank20 * 1e-310)
+        assert getattr(ei.value, "factor", None) != "gram"
 
 
 class TestDeviceMemoryOnBind:
