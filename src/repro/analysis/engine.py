@@ -229,7 +229,7 @@ def all_rules() -> Dict[str, Type[BaseChecker]]:
     """Rule id -> checker class, loading the built-in rule modules."""
     from . import (rules_backends, rules_bench,  # noqa: F401 (side effect)
                    rules_executor, rules_hygiene, rules_residency,
-                   rules_streams, rules_tune)
+                   rules_streams)
     return dict(sorted(_REGISTRY.items()))
 
 

@@ -97,9 +97,8 @@ def write_figure_artifact(path: str, name: str,
     real wall-clock seconds the driver took — the paper-model totals
     inside the points stay modeled seconds.  Figure-level metrics carry
     the matrix-gallery LRU counter deltas of the run
-    (``matrix_cache_{hits,misses,entries}``), mirroring the plan-cache
-    counters ``repro-bench tune --bench`` publishes; both are
-    drift-only in the ``obs diff`` gate.
+    (``matrix_cache_{hits,misses,entries}``), drift-only in the
+    ``obs diff`` gate.
     """
     from ..matrices.registry import matrix_cache_info
 

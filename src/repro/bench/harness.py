@@ -66,24 +66,6 @@ class FixedRankTiming:
         return s1 / self.total if self.total > 0 else 0.0
 
 
-def _env_pipeline_chunks() -> Optional[int]:
-    """Validated ``REPRO_PIPELINE_CHUNKS`` (the CLI's --pipeline-chunks
-    channel into pool workers); None when unset."""
-    raw = os.environ.get("REPRO_PIPELINE_CHUNKS", "").strip()
-    if not raw:
-        return None
-    try:
-        chunks = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_PIPELINE_CHUNKS must be an integer, got "
-            f"{raw!r}") from None
-    if chunks < 1:
-        raise ConfigurationError(
-            f"REPRO_PIPELINE_CHUNKS must be >= 1, got {chunks}")
-    return chunks
-
-
 def timed_fixed_rank(m: int, n: int, k: int = 54, p: int = 10, q: int = 1,
                      ng: int = 1, sampler: str = "gaussian",
                      spec: GPUSpec = KEPLER_K40C,
@@ -91,10 +73,7 @@ def timed_fixed_rank(m: int, n: int, k: int = 54, p: int = 10, q: int = 1,
                      recorder: Optional[SpanRecorder] = None,
                      overlap: bool = True,
                      race_check: bool = False,
-                     backend: Optional[str] = None,
-                     pipeline_chunks: Optional[int] = None,
-                     plan=None,
-                     auto_tune: bool = False
+                     backend: Optional[str] = None
                      ) -> FixedRankTiming:
     """Run the fixed-rank algorithm symbolically on the simulated
     device(s) and return the modeled phase breakdown.
@@ -118,41 +97,13 @@ def timed_fixed_rank(m: int, n: int, k: int = 54, p: int = 10, q: int = 1,
     in collecting mode; detected races land in ``recorder.races`` and
     the full report in ``recorder.race_report``.  Observation-only:
     modeled totals are unchanged.
-
-    Schedule knobs: ``pipeline_chunks`` overrides the multi-GPU gather
-    pipeline depth (``REPRO_PIPELINE_CHUNKS`` supplies it to sweep pool
-    workers; explicit beats env); ``plan`` applies a tuning plan's
-    knobs to the executor (a :class:`repro.tune.TunePlan`, plan path,
-    or knob mapping), and ``auto_tune=True`` fetches — or searches for
-    — the cached plan for this run's key via
-    :func:`repro.tune.get_plan`.  All three are multi-GPU only:
-    passing them explicitly at ``ng=1`` is a configuration error (the
-    env fallback is ignored there so mixed-ng sweeps work).
     """
-    env_chunks = _env_pipeline_chunks()
-    if plan is not None and auto_tune:
-        raise ConfigurationError(
-            "pass either plan= or auto_tune=True, not both")
     if ng == 1:
-        if pipeline_chunks is not None or plan is not None or auto_tune:
-            raise ConfigurationError(
-                "pipeline_chunks/plan/auto_tune tune the multi-GPU "
-                "stream schedule; they need ng >= 2")
         ex: NumpyExecutor = GPUExecutor(spec=spec, seed=seed,
                                         backend=backend)
     else:
-        chunks = pipeline_chunks if pipeline_chunks is not None \
-            else env_chunks
-        kwargs = {} if chunks is None else {"pipeline_chunks": chunks}
         ex = MultiGPUExecutor(ng=ng, spec=spec, seed=seed, overlap=overlap,
-                              backend=backend, plan=plan, **kwargs)
-        if auto_tune:
-            from ..tune import PlanKey, get_plan
-            tuned = get_plan(PlanKey(m=m, n=n, k=k, ng=ng,
-                                     backend=ex.backend.name,
-                                     overlap=overlap),
-                             p=p, q=q, spec=spec)
-            ex.apply_plan(tuned)
+                              backend=backend)
     rec = recorder if recorder is not None else SpanRecorder()
     ex.attach_recorder(rec)
     rec.note_backend(ex.backend)
@@ -167,10 +118,6 @@ def timed_fixed_rank(m: int, n: int, k: int = 54, p: int = 10, q: int = 1,
     run_name = f"fixed-rank m={m} n={n} k={k} q={q} ng={ng}"
     with rec.run_span(run_name):
         res = random_sampling(SymArray((m, n)), cfg, executor=ex)
-    from ..matrices.registry import matrix_cache_info
-    from ..tune.cache import plan_cache_info
-    rec.note_cache("matrix_gallery", matrix_cache_info())
-    rec.note_cache("plan", plan_cache_info())
     if checker is not None:
         rec.race_report = checker.report()
     elif race_check:

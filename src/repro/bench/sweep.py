@@ -185,21 +185,9 @@ def main(argv=None) -> int:
                              "workers (0 = all cores)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="repeat the grid this many times (default 3)")
-    parser.add_argument("--pipeline-chunks", type=int, metavar="N",
-                        default=None,
-                        help="gather pipeline depth for the sweep's "
-                             "multi-GPU points (>= 1; exported as "
-                             "REPRO_PIPELINE_CHUNKS so pool workers "
-                             "inherit it; single-GPU points ignore it). "
-                             "Prefer a tuned plan ('repro-bench tune') "
-                             "over hand-set values")
     args = parser.parse_args(argv)
     if args.compare is None:
         parser.error("nothing to do; pass --compare N")
-    if args.pipeline_chunks is not None:
-        if args.pipeline_chunks < 1:
-            parser.error("--pipeline-chunks must be >= 1")
-        os.environ["REPRO_PIPELINE_CHUNKS"] = str(args.pipeline_chunks)
     procs = args.compare if args.compare else (os.cpu_count() or 1)
     print(format_compare_markdown(
         compare_wallclock(procs, repeats=args.repeats)))

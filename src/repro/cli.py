@@ -335,12 +335,6 @@ def main(argv=None) -> int:
     if argv and argv[0] == "serve":
         from .serve.cli import main as serve_main
         return serve_main(argv[1:])
-    # `repro-bench tune ...` delegates to the critical-path autotuner
-    # (plan search, plan cache, BENCH before/after artifacts; see
-    # docs/performance.md).
-    if argv and argv[0] == "tune":
-        from .tune.cli import main as tune_main
-        return tune_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Regenerate the paper's tables and figures; "
@@ -370,14 +364,6 @@ def main(argv=None) -> int:
                              "(simulated, numpy, torch, cupy, or 'auto' "
                              "to pick the best installed stack); "
                              "equivalent to REPRO_BACKEND=NAME")
-    parser.add_argument("--pipeline-chunks", metavar="N", type=int,
-                        default=None,
-                        help="gather pipeline depth for multi-GPU "
-                             "experiments (>= 1; ignored by single-GPU "
-                             "runs); equivalent to "
-                             "REPRO_PIPELINE_CHUNKS=N.  Prefer a tuned "
-                             "plan ('repro-bench tune') over hand-set "
-                             "values")
     args = parser.parse_args(argv)
 
     if args.full_scale:
@@ -394,10 +380,6 @@ def main(argv=None) -> int:
         except ConfigurationError as exc:
             parser.error(str(exc))
         os.environ["REPRO_BACKEND"] = args.backend
-    if args.pipeline_chunks is not None:
-        if args.pipeline_chunks < 1:
-            parser.error("--pipeline-chunks must be >= 1")
-        os.environ["REPRO_PIPELINE_CHUNKS"] = str(args.pipeline_chunks)
     _PLOT["enabled"] = bool(args.plot)
 
     if args.experiment == "list":

@@ -25,6 +25,7 @@ __all__ = [
     "SamplingConfig",
     "AdaptiveConfig",
     "QRCPConfig",
+    "sample_infeasibility",
 ]
 
 #: Orthogonalization schemes accepted for the power-iteration QR step.
@@ -52,14 +53,24 @@ def _require_backend(name: Optional[str]) -> None:
              f"got {name!r}")
 
 
-def _require_plan(plan: Optional[str], auto_tune: bool) -> None:
-    """Validate the tuning fields (the artifact itself is loaded and
-    schema-checked at application time, not construction time)."""
-    if plan is not None:
-        _require(isinstance(plan, str) and bool(plan),
-                 f"plan must be a plan-artifact path, got {plan!r}")
-        _require(not auto_tune,
-                 "pass either plan= or auto_tune=True, not both")
+def sample_infeasibility(k: int, l: int, m: int, n: int,
+                         within_n: bool) -> Optional[str]:
+    """The feasibility rule for a rank-``k``, ``l``-row sample of an
+    ``m x n`` input: why it cannot run, or ``None`` when it can.
+
+    ``k <= min(m, n)`` and ``l <= m`` always.  ``within_n`` adds
+    ``l <= n``, which holds whenever the ``l x n`` sample's rows are
+    orthonormalized: fixed rank with ``q >= 1``, randomized SVD always,
+    and CUR always (its ``A^T`` pass samples ``l`` of the ``n`` rows).
+    The drivers and serve admission check this before any kernel runs.
+    """
+    if k > min(m, n):
+        return f"rank {k} exceeds min(m, n) = {min(m, n)}"
+    if l > m:
+        return f"sample size l = {l} exceeds m = {m}"
+    if within_n and l > n:
+        return f"sample size l = {l} exceeds n = {n}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -97,16 +108,6 @@ class SamplingConfig:
         ``"torch"``, ``"cupy"``, or ``"auto"``) the pipeline's math
         should run on; ``None`` defers to ``REPRO_BACKEND`` / the
         session default.  See :mod:`repro.backends`.
-    plan:
-        Path to a ``repro-tune`` plan artifact whose schedule knobs
-        are applied to the run (executor knobs via
-        :meth:`repro.gpu.multigpu.MultiGPUExecutor.apply_plan`, config
-        knobs via :func:`repro.tune.apply_plan_to_config`).  ``None``
-        runs the hand-set defaults.
-    auto_tune:
-        Fetch — or, on a plan-cache miss, search for — the tuned plan
-        matching this run's key (shape, rank, ng, backend, overlap)
-        before executing.  Mutually exclusive with ``plan``.
     """
 
     rank: int
@@ -117,8 +118,6 @@ class SamplingConfig:
     reorthogonalize: bool = True
     seed: Optional[int] = None
     backend: Optional[str] = None
-    plan: Optional[str] = None
-    auto_tune: bool = False
 
     def __post_init__(self) -> None:
         _require(self.rank >= 1, f"rank must be >= 1, got {self.rank}")
@@ -131,7 +130,6 @@ class SamplingConfig:
         _require(self.orth in ORTH_SCHEMES,
                  f"orth must be one of {ORTH_SCHEMES}, got {self.orth!r}")
         _require_backend(self.backend)
-        _require_plan(self.plan, self.auto_tune)
 
     @property
     def sample_size(self) -> int:
@@ -142,12 +140,17 @@ class SamplingConfig:
         """Return a copy of this config with a different target rank."""
         return replace(self, rank=rank)
 
-    def validate_for(self, m: int, n: int) -> None:
-        """Check that this configuration is feasible for an ``m x n`` input."""
-        _require(self.rank <= min(m, n),
-                 f"rank {self.rank} exceeds min(m, n) = {min(m, n)}")
-        _require(self.sample_size <= m,
-                 f"sample size l = {self.sample_size} exceeds m = {m}")
+    def validate_for(self, m: int, n: int,
+                     within_n: Optional[bool] = None) -> None:
+        """Check that this configuration is feasible for an ``m x n``
+        input (:func:`sample_infeasibility`).  ``within_n`` defaults to
+        the fixed-rank driver's case, ``q >= 1``."""
+        if within_n is None:
+            within_n = self.power_iterations >= 1
+        problem = sample_infeasibility(self.rank, self.sample_size, m, n,
+                                       within_n)
+        if problem is not None:
+            raise ConfigurationError(problem)
 
 
 @dataclass(frozen=True)
@@ -175,11 +178,8 @@ class AdaptiveConfig:
     max_subspace:
         Hard cap on the subspace dimension; exceeding it raises
         :class:`repro.errors.ConvergenceError`.
-    orth, reorthogonalize, seed, backend, plan, auto_tune:
-        As for :class:`SamplingConfig`; a plan may additionally set
-        this config's own ``l_inc`` knob (applied through
-        :func:`repro.tune.apply_plan_to_config`, which re-runs this
-        validation).
+    orth, reorthogonalize, seed, backend:
+        As for :class:`SamplingConfig`.
     """
 
     tolerance: float
@@ -192,8 +192,6 @@ class AdaptiveConfig:
     reorthogonalize: bool = True
     seed: Optional[int] = None
     backend: Optional[str] = None
-    plan: Optional[str] = None
-    auto_tune: bool = False
 
     def __post_init__(self) -> None:
         _require(self.tolerance > 0.0,
@@ -211,7 +209,6 @@ class AdaptiveConfig:
             _require(self.max_subspace >= self.l_init,
                      "max_subspace must be >= l_init")
         _require_backend(self.backend)
-        _require_plan(self.plan, self.auto_tune)
 
 
 @dataclass(frozen=True)

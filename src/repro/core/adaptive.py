@@ -204,12 +204,6 @@ def adaptive_sampling(a: ArrayLike, config: AdaptiveConfig,
         the exception.
     """
     m, n = shape_of(a)
-    if config.plan is not None:
-        # Config-owned knobs (l_inc) come from the plan artifact;
-        # executor schedule knobs are applied below.  Re-runs the
-        # config validation, so a bad plan value fails loudly here.
-        from ..tune import apply_plan_to_config
-        config = apply_plan_to_config(config)
     ex = executor if executor is not None else NumpyExecutor(
         seed=config.seed, backend=config.backend)
     symbolic = is_symbolic(a)
@@ -219,23 +213,6 @@ def adaptive_sampling(a: ArrayLike, config: AdaptiveConfig,
     if check_finite:
         ensure_all_finite(a, "a")
     ex.bind(a)
-    if config.plan is not None and hasattr(ex, "apply_plan"):
-        from ..tune import coerce_plan_knobs
-        schedule_knobs = {
-            k: v for k, v in coerce_plan_knobs(config.plan).items()
-            if k in getattr(ex, "TUNABLE_KNOBS", ())}
-        if schedule_knobs:
-            ex.apply_plan(schedule_knobs)
-    if config.auto_tune and hasattr(ex, "apply_plan"):
-        # Adaptive runs have no fixed k; the plan key uses the initial
-        # subspace size as the rank proxy (the growth steps reuse the
-        # same stream schedule).
-        from ..tune import PlanKey, get_plan
-        key = PlanKey(m=m, n=n, k=config.l_init, ng=ex.ng,
-                      backend=ex.backend.name, overlap=ex.overlap)
-        ex.apply_plan(get_plan(key, p=config.l_inc,
-                               q=config.power_iterations,
-                               spec=ex.device.spec, cpu=ex.cpu))
     cap = config.max_subspace if config.max_subspace is not None \
         else min(m, n)
     static = config.step_rule == "static"

@@ -26,8 +26,7 @@ import numpy as np
 from ..analysis.annotations import allow_untimed_math
 from ..backends import hostmath
 from ..config import SamplingConfig
-from ..errors import (NonFiniteResultError, ShapeError,
-                      SymbolicExecutionError)
+from ..errors import NonFiniteResultError, SymbolicExecutionError
 from ..qr.utils import ensure_all_finite
 from ..gpu.device import ArrayLike, NumpyExecutor, is_symbolic, shape_of
 from .power import power_iterate
@@ -126,14 +125,13 @@ def cur_decomposition(a: ArrayLike, config: SamplingConfig,
     True
     """
     m, n = shape_of(a)
-    config.validate_for(m, n)
+    # The A^T pass samples l of the n rows.
+    config.validate_for(m, n, within_n=True)
     if check_finite:
         ensure_all_finite(a, "a")
     if is_symbolic(a):
         raise SymbolicExecutionError(
             "cur_decomposition needs numerical data")
-    if config.rank > min(m, n):
-        raise ShapeError(f"rank {config.rank} exceeds min(m, n)")
     ex = executor if executor is not None else NumpyExecutor(
         seed=config.seed, backend=config.backend)
     ex.bind(a)

@@ -36,39 +36,6 @@ from .sampling import sample
 __all__ = ["random_sampling"]
 
 
-def _apply_tuning(ex, config, m: int, n: int) -> None:
-    """Route the config's ``plan=`` / ``auto_tune=`` knobs onto the
-    executor before any work is submitted.
-
-    Schedule knobs only exist on the multi-GPU executor; on executors
-    without :meth:`~repro.gpu.multigpu.MultiGPUExecutor.apply_plan` an
-    explicit ``plan=`` is a configuration error while ``auto_tune`` is
-    a quiet no-op (a single-device run has nothing to tune).  Knobs
-    never change the host math — tuned and default runs are
-    bit-identical — so this hook is timing-only.
-    """
-    plan = getattr(config, "plan", None)
-    auto = bool(getattr(config, "auto_tune", False))
-    if plan is None and not auto:
-        return
-    if not hasattr(ex, "apply_plan"):
-        if auto:
-            return
-        from ..errors import ConfigurationError
-        raise ConfigurationError(
-            "config.plan tunes the multi-GPU stream schedule; the "
-            f"{type(ex).__name__} executor has no tunable knobs")
-    if plan is not None:
-        ex.apply_plan(plan)
-        return
-    from ..tune import PlanKey, get_plan
-    key = PlanKey(m=m, n=n, k=config.rank, ng=ex.ng,
-                  backend=ex.backend.name, overlap=ex.overlap)
-    ex.apply_plan(get_plan(key, p=config.oversampling,
-                           q=config.power_iterations,
-                           spec=ex.device.spec, cpu=ex.cpu))
-
-
 def random_sampling(a: ArrayLike, config: SamplingConfig,
                     executor: Optional[NumpyExecutor] = None,
                     check_finite: bool = True,
@@ -121,7 +88,6 @@ def random_sampling(a: ArrayLike, config: SamplingConfig,
     ex = executor if executor is not None else NumpyExecutor(
         seed=config.seed, backend=config.backend)
     ex.bind(a)
-    _apply_tuning(ex, config, m, n)
 
     l = config.sample_size
     k = config.rank

@@ -96,7 +96,8 @@ def randomized_svd(a: ArrayLike, config: SamplingConfig,
     True
     """
     m, n = shape_of(a)
-    config.validate_for(m, n)
+    # Stage A always orthonormalizes the l x n sample's rows.
+    config.validate_for(m, n, within_n=True)
     if check_finite:
         ensure_all_finite(a, "a")
     if is_symbolic(a):

@@ -83,42 +83,29 @@ class MultiGPUExecutor(GPUExecutor):
     shapes (the devices are symmetric, so the max over devices equals
     the device-0 time); communication goes to the ``comms`` phase.
     ``overlap`` selects the pipelined stream schedule (on, the paper's
-    runtime) or the serial sum (off, the ablation baseline);
-    ``pipeline_chunks`` is the gather pipeline depth and
-    ``cholqr_buffers`` the SYRK double-buffering depth of the
-    distributed CholQR — the two schedule knobs the autotuner in
-    :mod:`repro.tune` searches over.  ``plan`` accepts a
-    :class:`repro.tune.TunePlan` (or a plan-artifact path, or a bare
-    knob mapping) whose knobs override the constructor defaults; knob
-    changes move work between streams but never change phase sums or
-    the host math.
+    runtime) or the serial sum (off, the ablation baseline).  The two
+    schedule depths below move work between streams but never change
+    phase sums or the host math; ``docs/performance.md`` ("Schedule
+    depths") records why they stay constants.
     """
 
-    #: Schedule knobs a tuning plan may set on this executor.
-    TUNABLE_KNOBS = ("pipeline_chunks", "cholqr_buffers")
+    #: Gather pipeline depth: chunks per pipelined local GEMM.
+    pipeline_chunks = 4
+    #: SYRK buffers per distributed CholQR pass (the paper's double
+    #: buffering).
+    cholqr_buffers = 2
 
     def __init__(self, ng: int, spec: GPUSpec = KEPLER_K40C,
                  cpu: CPUSpec = CPUSpec(),
                  seed: Optional[int] = None,
                  overlap: bool = True,
-                 pipeline_chunks: int = 4,
-                 cholqr_buffers: int = 2,
-                 backend=None,
-                 plan=None):
+                 backend=None):
         if ng < 1:
             raise ConfigurationError(f"ng must be >= 1, got {ng}")
-        if pipeline_chunks < 1:
-            raise ConfigurationError(
-                f"pipeline_chunks must be >= 1, got {pipeline_chunks}")
-        if cholqr_buffers < 1:
-            raise ConfigurationError(
-                f"cholqr_buffers must be >= 1, got {cholqr_buffers}")
         super().__init__(spec=spec, seed=seed, backend=backend)
         self.ng = ng
         self.cpu = cpu
         self.overlap = bool(overlap)
-        self.pipeline_chunks = pipeline_chunks
-        self.cholqr_buffers = cholqr_buffers
         self.devices: List[SimulatedGPU] = [
             SimulatedGPU(spec, device_id=i) for i in range(ng)]
         # Device 0 doubles as the master clock target via `self.device`.
@@ -136,25 +123,6 @@ class MultiGPUExecutor(GPUExecutor):
         #: Per-chunk completion events of the last pipelined local GEMM
         #: (consumed by `_reduce_b` to overlap the gather).
         self._chunk_events: Optional[List[StreamEvent]] = None
-        if plan is not None:
-            self.apply_plan(plan)
-
-    def apply_plan(self, plan) -> None:
-        """Apply a tuning plan's schedule knobs to this executor.
-
-        ``plan`` is a :class:`repro.tune.TunePlan`, a plan-artifact
-        path, or a bare ``{knob: value}`` mapping.  Only knobs in
-        :data:`TUNABLE_KNOBS` are accepted, with the same validation as
-        the constructor.  Apply before submitting work: knobs shape the
-        stream schedule of subsequent submissions only.
-        """
-        from ..tune.plan import coerce_plan_knobs
-        knobs = coerce_plan_knobs(plan, allowed=self.TUNABLE_KNOBS)
-        for name, value in knobs.items():
-            if value < 1:
-                raise ConfigurationError(
-                    f"{name} must be >= 1, got {value}")
-            setattr(self, name, int(value))
 
     def _memory_high_water(self, device_id: int) -> int:
         return self.devices[device_id].memory.high_water
@@ -413,8 +381,8 @@ class MultiGPUExecutor(GPUExecutor):
         """Distributed CholQR: local SYRK over c columns/rows, reduce
         the small Gram, CPU Cholesky, broadcast R_bar, local TRSM.
 
-        The SYRK runs in ``cholqr_buffers`` buffers per pass (default
-        2, the paper's double-buffering); each buffer's partial Gram
+        The SYRK runs in ``cholqr_buffers`` buffers per pass (2, the
+        paper's double-buffering); each buffer's partial Gram
         goes down the ``d2h`` stream as soon as it finishes, so all but
         the last transfer hide behind later buffers' compute.  The
         buffer count reshapes the schedule only — per-phase totals are

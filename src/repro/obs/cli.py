@@ -64,13 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "run: 'on' pipelines compute against comms "
                           "(default), 'off' is the serial-sum ablation; "
                           "--bench always exports both fig15 series")
-    run.add_argument("--pipeline-chunks", metavar="N", type=int,
-                     default=None,
-                     help="gather pipeline depth for the figure's "
-                          "representative multi-GPU run (>= 1; "
-                          "multi-GPU figures only).  Prefer a tuned "
-                          "plan ('repro-bench tune') over hand-set "
-                          "values")
     run.add_argument("--race-check", action="store_true",
                      help="run the figure's representative config under "
                           "the happens-before race sanitizer and print "
@@ -125,17 +118,11 @@ def _cmd_run(args) -> int:
         from ..backends import make_backend
         make_backend(args.backend)
         os.environ["REPRO_BACKEND"] = args.backend
-    # Explicit knob overrides for the representative run (validated by
-    # the harness: multi-GPU only, >= 1; errors surface as exit 2).
-    overrides = {}
-    if args.pipeline_chunks is not None:
-        overrides["pipeline_chunks"] = args.pipeline_chunks
     races_found = 0
     if args.race_check:
         from ..analysis.races import render_report, write_report
         _, recorder = observed_fixed_rank(
-            args.figure, overlap=(args.overlap != "off"), race_check=True,
-            **overrides)
+            args.figure, overlap=(args.overlap != "off"), race_check=True)
         report = recorder.race_report or {}
         print(render_report(report))
         if args.race_report:
@@ -144,7 +131,7 @@ def _cmd_run(args) -> int:
         races_found = report.get("race_count", 0)
     if args.trace:
         timing, recorder = observed_fixed_rank(
-            args.figure, overlap=(args.overlap != "off"), **overrides)
+            args.figure, overlap=(args.overlap != "off"))
         write_chrome_trace(args.trace, recorder,
                            process_name=f"simulated-gpu {args.figure}")
         print(f"[wrote {args.trace}: {sum(1 for _ in recorder.kernel_spans())} "

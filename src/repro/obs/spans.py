@@ -183,11 +183,6 @@ class SpanRecorder:
         #: Labels applied to every span recorded while a
         #: :meth:`labelled` context is open (e.g. a serve request id).
         self._labels: Tuple[str, ...] = ()
-        #: Named LRU-cache counter snapshots (``{"hits", "misses",
-        #: "entries"}`` per cache), noted by the harness so the
-        #: matrix-gallery and plan caches are observable in BENCH
-        #: artifacts; see :meth:`note_cache`.
-        self.cache_counters: Dict[str, Dict[str, int]] = {}
 
     @contextmanager
     def labelled(self, *labels: str):
@@ -228,21 +223,6 @@ class SpanRecorder:
         if self._backend is None:
             return 0.0
         return float(self._backend.stats.wall_seconds)
-
-    def note_cache(self, name: str, info: Dict[str, int]) -> None:
-        """Snapshot one named LRU cache's counters onto this recorder.
-
-        ``info`` is the ``{"hits", "misses", "entries"}`` dict the
-        repo's caches expose (:func:`repro.matrices.registry.
-        matrix_cache_info`, :func:`repro.tune.plan_cache_info`).  Later
-        snapshots of the same name replace earlier ones, so the
-        recorder ends up with the run's final counter state — the
-        values BENCH exports publish as drift-only metrics.
-        """
-        if not name:
-            raise ConfigurationError("cache name must be non-empty")
-        self.cache_counters[name] = {str(k): int(v)
-                                     for k, v in dict(info).items()}
 
     def record_race(self, race: Dict) -> None:
         """Mirror one detected race (called by the stream scheduler)."""

@@ -20,7 +20,8 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..config import SAMPLER_KINDS, AdaptiveConfig, SamplingConfig
+from ..config import (SAMPLER_KINDS, AdaptiveConfig, SamplingConfig,
+                      sample_infeasibility)
 from ..errors import ConfigurationError, InvalidRequestError
 from ..matrices.registry import get_matrix, list_matrices
 
@@ -145,12 +146,10 @@ class DecompRequest:
         if self.algorithm == "fixed_rank":
             _invalid(self.rank is not None and self.rank >= 1,
                      "fixed_rank requests need rank >= 1")
-            _invalid(self.rank + self.oversampling <= self.matrix.m,
-                     f"sample size l = {self.rank + self.oversampling} "
-                     f"exceeds m = {self.matrix.m}")
-            _invalid(self.rank <= min(self.matrix.m, self.matrix.n),
-                     f"rank {self.rank} exceeds min(m, n) = "
-                     f"{min(self.matrix.m, self.matrix.n)}")
+            problem = sample_infeasibility(
+                self.rank, self.sample_size, self.matrix.m, self.matrix.n,
+                within_n=self.power_iterations >= 1)
+            _invalid(problem is None, str(problem))
         elif self.algorithm == "adaptive":
             _invalid(self.tolerance is not None and self.tolerance > 0,
                      "adaptive requests need tolerance > 0")

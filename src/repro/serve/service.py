@@ -71,10 +71,6 @@ class ServeConfig:
     workers: int = 1
     #: Default compute backend for requests that name none.
     backend: Optional[str] = None
-    #: Path to a ``repro-tune`` plan artifact; knobs matching this
-    #: config's own fields (e.g. ``max_batch``) are applied at service
-    #: construction via :func:`repro.tune.apply_plan_to_config`.
-    plan: Optional[str] = None
 
     def validate(self) -> None:
         if self.max_queue_depth < 1:
@@ -95,10 +91,6 @@ class ServeConfig:
             raise ConfigurationError(
                 f"default_deadline_s must be positive, got "
                 f"{self.default_deadline_s}")
-        if self.plan is not None and (
-                not isinstance(self.plan, str) or not self.plan):
-            raise ConfigurationError(
-                f"plan must be a plan-artifact path, got {self.plan!r}")
 
 
 class _Job:
@@ -141,10 +133,6 @@ class LowRankService:
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config if config is not None else ServeConfig()
         self.config.validate()
-        if self.config.plan is not None:
-            from ..tune import apply_plan_to_config
-            self.config = apply_plan_to_config(self.config)
-            self.config.validate()
         self.counters = ServiceCounters()
         self.admission = AdmissionController(
             self.config.max_queue_depth, counters=self.counters,

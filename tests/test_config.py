@@ -1,5 +1,7 @@
 """Tests for configuration dataclasses (repro.config)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import (ORTH_SCHEMES, SAMPLER_KINDS, AdaptiveConfig,
@@ -45,6 +47,17 @@ class TestSamplingConfig:
             cfg.validate_for(1000, 40)   # rank > n
         with pytest.raises(ConfigurationError):
             cfg.validate_for(55, 100)    # l > m
+        # l = 130 > n = 120: fine while the l x n sample's rows are
+        # never orthonormalized (fixed rank, q = 0), infeasible once
+        # they are (q >= 1, or rSVD/CUR passing within_n=True).
+        wide = SamplingConfig(rank=120, oversampling=10)
+        wide.validate_for(600, 120)
+        with pytest.raises(ConfigurationError,
+                           match="l = 130 exceeds n = 120"):
+            wide.validate_for(600, 120, within_n=True)
+        with pytest.raises(ConfigurationError,
+                           match="l = 130 exceeds n = 120"):
+            replace(wide, power_iterations=1).validate_for(600, 120)
 
     def test_all_orth_schemes_accepted(self):
         for scheme in ORTH_SCHEMES:

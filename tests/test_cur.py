@@ -5,8 +5,8 @@ import pytest
 
 from repro.config import SamplingConfig
 from repro.core.cur import cur_decomposition
-from repro.errors import (NonFiniteResultError, ReproError,
-                          SymbolicExecutionError)
+from repro.errors import (ConfigurationError, NonFiniteResultError,
+                          ReproError, SymbolicExecutionError)
 from repro.gpu.device import GPUExecutor, SymArray
 from repro.matrices.hapmap_like import hapmap_like_matrix
 
@@ -57,6 +57,19 @@ class TestCUR:
         # Columns of C are genotype columns: integer allele counts.
         assert set(np.unique(d.c)).issubset({0.0, 1.0, 2.0})
         assert d.residual(a) < 1.0
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_sample_size_exceeds_n_rejected(self, q):
+        # The A^T pass samples l of the n rows, so l = 130 > n = 120 is
+        # refused at every q, naming n, before anything is charged.
+        a = np.random.default_rng(1).standard_normal((600, 120))
+        ex = GPUExecutor(seed=1)
+        with pytest.raises(ConfigurationError,
+                           match="l = 130 exceeds n = 120"):
+            cur_decomposition(a, SamplingConfig(rank=120, oversampling=10,
+                                                power_iterations=q, seed=1),
+                              executor=ex)
+        assert ex.seconds == 0.0
 
     def test_symbolic_rejected(self):
         with pytest.raises(SymbolicExecutionError):

@@ -9,6 +9,7 @@
 import doctest
 import importlib
 import pathlib
+import re
 import sys
 
 import pytest
@@ -77,6 +78,28 @@ class TestDocsConsistency:
             if "examples/" in line and ".py" in line:
                 name = line.split("examples/")[1].split(".py")[0]
                 assert (EXAMPLES / f"{name}.py").exists(), name
+
+    def test_readme_module_map_exists(self):
+        """Every ``name/`` and ``file.py`` in the README's ``src/repro``
+        tree names a real entry (``rules_*.py`` is a glob; ``a.py,
+        b.py`` names two files)."""
+        readme = (DOCS / "README.md").read_text()
+        tree = readme.split("```\nsrc/repro/\n", 1)[1].split("```", 1)[0]
+        root = DOCS / "src" / "repro"
+        package, checked, missing = root, [], []
+        for line in tree.splitlines():
+            indent = len(line) - len(line.lstrip())
+            if indent not in (2, 4):
+                continue  # a description's continuation line
+            base = root if indent == 2 else package
+            for name in re.split(r"\s{2,}", line.strip())[0].split(", "):
+                if indent == 2 and name.endswith("/"):
+                    package = root / name
+                checked.append(name)
+                if not list(base.glob(name.rstrip("/"))):
+                    missing.append(str(base.relative_to(root) / name))
+        assert len(checked) > 30, checked
+        assert not missing, f"README module map names: {missing}"
 
     def test_calibration_doc_constants_match(self):
         from repro.gpu.specs import KEPLER_K40C

@@ -50,6 +50,25 @@ class TestMathIdentical:
                               executor=MultiGPUExecutor(ng=2, seed=2))
         assert out.residual(lowrank_matrix) < 1e-9
 
+    @pytest.mark.parametrize("depths", [(1, 1), (32, 8)],
+                             ids=["1x1", "32x8"])
+    def test_schedule_depths_change_only_the_clock(self, depths):
+        """``pipeline_chunks``/``cholqr_buffers`` reshape the event DAG
+        only: the factors stay bit for bit and every phase sum stays."""
+        a = np.random.default_rng(7).standard_normal((400, 120))
+        cfg = SamplingConfig(rank=20, power_iterations=1, seed=1)
+
+        def run(chunks, buffers):
+            ex = MultiGPUExecutor(ng=3, seed=1)
+            ex.pipeline_chunks, ex.cholqr_buffers = chunks, buffers
+            return random_sampling(a, cfg, executor=ex)
+
+        ref, out = run(4, 2), run(*depths)
+        for name in ("q", "r", "perm"):
+            np.testing.assert_array_equal(np.asarray(getattr(out, name)),
+                                          np.asarray(getattr(ref, name)))
+        assert out.breakdown == pytest.approx(ref.breakdown, rel=1e-12)
+
 
 class TestTimingModel:
     def _run(self, ng: int, m: int = 150_000, q: int = 1):

@@ -124,6 +124,27 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             random_sampling(a, SamplingConfig(rank=25, oversampling=10))
 
+    def test_sample_size_exceeds_n_with_power_iterations(self):
+        # q >= 1 orthonormalizes the l x n sample's rows, so l = 130
+        # cannot exceed n = 120; the check runs before any charge.
+        a = np.random.default_rng(1).standard_normal((600, 120))
+        cfg = SamplingConfig(rank=120, oversampling=10, power_iterations=1,
+                             seed=1)
+        ex = GPUExecutor(seed=1)
+        with pytest.raises(ConfigurationError,
+                           match="l = 130 exceeds n = 120"):
+            random_sampling(a, cfg, executor=ex)
+        assert ex.seconds == 0.0
+
+    def test_sample_size_above_n_without_power_iterations_runs(self):
+        # At q = 0 the l x n sample only goes through QRCP, which takes
+        # a tall input: the same shape still returns factors.
+        a = np.random.default_rng(1).standard_normal((600, 120))
+        f = random_sampling(a, SamplingConfig(rank=120, oversampling=10,
+                                              seed=1))
+        assert f.q.shape == (600, 120)
+        assert f.residual(a) < 1e-10
+
 
 class TestRankBelowK:
     """A matrix whose rank is below ``k`` makes Step 2's ``R11``

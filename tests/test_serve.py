@@ -60,6 +60,14 @@ class TestRequestValidation:
     def test_oversized_sample_rejected(self):
         with pytest.raises(InvalidRequestError):
             DecompRequest(matrix=REF, rank=398, oversampling=10)
+        # l = 130 > n = 120 is admitted only while q = 0 (the same rule
+        # random_sampling applies; at q >= 1 it fails inside a batch).
+        tall = MatrixRef(name="power", m=600, n=120)
+        with pytest.raises(InvalidRequestError,
+                           match="l = 130 exceeds n = 120"):
+            DecompRequest(matrix=tall, rank=120, oversampling=10,
+                          power_iterations=1)
+        DecompRequest(matrix=tall, rank=120, oversampling=10)
 
     def test_invalid_is_also_valueerror(self):
         # The taxonomy plays nicely with generic ValueError handlers.

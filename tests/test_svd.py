@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import SamplingConfig
 from repro.core.svd import randomized_svd
-from repro.errors import SymbolicExecutionError
+from repro.errors import ConfigurationError, SymbolicExecutionError
 from repro.gpu.device import GPUExecutor, NumpyExecutor, SymArray
 
 from tests.helpers import assert_orthonormal_columns
@@ -56,6 +56,19 @@ class TestRandomizedSVD:
                                                            seed=6),
                            executor=ex)
         assert f.seconds > 0
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_sample_size_exceeds_n_rejected(self, q):
+        # Stage A orthonormalizes the l x n sample at every q, so
+        # l = 130 > n = 120 is refused before anything is charged.
+        a = np.random.default_rng(1).standard_normal((600, 120))
+        ex = GPUExecutor(seed=1)
+        with pytest.raises(ConfigurationError,
+                           match="l = 130 exceeds n = 120"):
+            randomized_svd(a, SamplingConfig(rank=120, oversampling=10,
+                                             power_iterations=q, seed=1),
+                           executor=ex)
+        assert ex.seconds == 0.0
 
     def test_symbolic_rejected(self):
         with pytest.raises(SymbolicExecutionError):

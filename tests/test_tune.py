@@ -1,450 +1,60 @@
-"""Tests for repro.tune: search invariants, plan artifacts, the plan
-cache, and the plan/auto_tune plumbing into configs and executors."""
+"""Schedule-depth invariants of the multi-GPU executor.
 
-import json
-import os
+``MultiGPUExecutor.pipeline_chunks`` and ``cholqr_buffers`` were once
+tuned per shape; they are class constants now (``docs/performance.md``,
+"Schedule depths").  Any depth only reshapes the modeled event DAG: the
+host math and every phase sum are those of the default schedule.  The
+depths are set as instance attributes on a fresh executor, as the
+schedule-depth sweep in that section does.
+"""
 
 import numpy as np
 import pytest
 
-from repro.config import AdaptiveConfig, SamplingConfig
+from repro.config import SamplingConfig
 from repro.core.random_sampling import random_sampling
-from repro.errors import ConfigurationError
-from repro.gpu.device import GPUExecutor, SymArray
-from repro.gpu.multigpu import CPUSpec, MultiGPUExecutor
-from repro.gpu.specs import KEPLER_K40C, scaled_spec
-from repro.tune import (MULTIGPU_SPACE, PLAN_SCHEMA, Param, ParamSpace,
-                        PlanKey, TunePlan, clear_plan_cache,
-                        evaluate_candidate, get_plan, load_plan_file,
-                        lookup_plan, model_fingerprint, plan_cache_info,
-                        store_plan, tune)
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import (HealthCheck, given, settings,  # noqa: E402
-                        strategies as st)
+from repro.gpu.device import SymArray
+from repro.gpu.multigpu import MultiGPUExecutor
 
 
-KEY = PlanKey(m=150_000, n=2_500, k=54, ng=3)
-FP = model_fingerprint(KEPLER_K40C, CPUSpec(), "simulated")
+def _executor(ng, chunks=None, buffers=None, seed=0):
+    ex = MultiGPUExecutor(ng=ng, seed=seed)
+    if chunks is not None:
+        ex.pipeline_chunks, ex.cholqr_buffers = chunks, buffers
+    return ex
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
-
-
-def make_plan(key=KEY, knobs=None, fingerprint=FP, **kw):
-    return TunePlan(key=key, knobs=knobs or {"pipeline_chunks": 8},
-                    seed=0, baseline_elapsed=1.0, tuned_elapsed=0.9,
-                    model_fingerprint=fingerprint, **kw)
-
-
-# ----------------------------------------------------------------------
-# search space
-# ----------------------------------------------------------------------
-class TestParamSpace:
-    def test_defaults_are_members(self):
-        MULTIGPU_SPACE.validate(MULTIGPU_SPACE.defaults())
-
-    def test_rejects_unsorted_choices(self):
-        with pytest.raises(ConfigurationError):
-            Param("x", (4, 2, 1), 2)
-
-    def test_rejects_default_outside_choices(self):
-        with pytest.raises(ConfigurationError):
-            Param("x", (1, 2, 4), 3)
-
-    def test_neighbors_clamp_at_ends(self):
-        p = MULTIGPU_SPACE["pipeline_chunks"]
-        assert p.neighbors(1) == (2,)
-        assert p.neighbors(32) == (16,)
-        assert p.neighbors(4) == (2, 8)
-
-    def test_validate_flags_extra_and_missing(self):
-        with pytest.raises(ConfigurationError, match="extra"):
-            MULTIGPU_SPACE.validate({"pipeline_chunks": 4,
-                                     "cholqr_buffers": 2, "bogus": 1})
-        with pytest.raises(ConfigurationError, match="missing"):
-            MULTIGPU_SPACE.validate({"pipeline_chunks": 4})
-
-    def test_neighborhood_excludes_center(self):
-        space = ParamSpace((Param("a", (1, 2, 4), 2),
-                            Param("b", (1, 2), 1)))
-        hood = list(space.neighborhood({"a": 2, "b": 1}))
-        assert {"a": 2, "b": 1} not in hood
-        # 3 a-options x 2 b-options - the center itself.
-        assert len(hood) == 5
-
-
-# ----------------------------------------------------------------------
-# the core invariant: tuned never loses to default on the modeled clock
-# ----------------------------------------------------------------------
 class TestSearchInvariants:
-    @settings(max_examples=8, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(m=st.sampled_from([60_000, 100_000, 150_000]),
-           n=st.sampled_from([1_500, 2_500]),
-           k=st.sampled_from([30, 54, 90]),
-           ng=st.integers(min_value=2, max_value=4),
-           seed=st.integers(min_value=0, max_value=3))
-    def test_accepted_plan_never_slower_than_default(self, m, n, k, ng,
-                                                     seed):
-        key = PlanKey(m=m, n=n, k=k, ng=ng)
-        plan = tune(key, seed=seed, use_cache=False)
-        default_elapsed, _ = evaluate_candidate(
-            key, MULTIGPU_SPACE.defaults())
-        assert plan.tuned_elapsed <= default_elapsed
-        assert plan.baseline_elapsed == default_elapsed
-        assert plan.race_checked
-
-    def test_search_is_deterministic(self):
-        a = tune(KEY, seed=0, use_cache=False)
-        b = tune(KEY, seed=0, use_cache=False)
-        assert a.to_json() == b.to_json()
-
-    def test_fig15_tuned_beats_default(self):
-        plan = tune(KEY, use_cache=False)
-        assert plan.tuned_elapsed < plan.baseline_elapsed
-        assert plan.improvement > 0
-
     def test_phase_sums_invariant_across_knobs(self):
-        _, default_bd = evaluate_candidate(KEY, MULTIGPU_SPACE.defaults())
-        _, tuned_bd = evaluate_candidate(
-            KEY, {"pipeline_chunks": 32, "cholqr_buffers": 8})
+        """Figure 15's 150,000 x 2,500, k = 54 on 3 GPUs, symbolically."""
+        cfg = SamplingConfig(rank=54, oversampling=10, power_iterations=1,
+                             seed=0)
+
+        def run(ex):
+            res = random_sampling(SymArray((150_000, 2_500)), cfg,
+                                  executor=ex)
+            bd = {ph: s for ph, s in res.breakdown.items() if s > 0.0}
+            return res.seconds, bd
+
+        default_s, default_bd = run(_executor(3))
+        tuned_s, tuned_bd = run(_executor(3, chunks=32, buffers=8))
+        # The depths reach the schedule: the deeper one hides more.
+        assert tuned_s < default_s
         assert set(default_bd) == set(tuned_bd)
         for phase in default_bd:
             assert default_bd[phase] == pytest.approx(
                 tuned_bd[phase], rel=1e-12)
 
-    def test_trace_records_every_evaluation(self):
-        plan = tune(KEY, use_cache=False)
-        assert plan.evaluations == len(plan.trace)
-        assert plan.trace[0]["stage"] == "baseline"
-        assert plan.trace[0]["knobs"] == MULTIGPU_SPACE.defaults()
-        accepted = [t for t in plan.trace if t["accepted"]]
-        assert accepted[-1]["knobs"] == plan.knobs
 
-    def test_single_gpu_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="ng >= 2"):
-            evaluate_candidate(PlanKey(m=1000, n=100, k=10, ng=1), {})
-
-
-# ----------------------------------------------------------------------
-# plan artifact
-# ----------------------------------------------------------------------
-class TestPlanArtifact:
-    def test_json_round_trip(self, tmp_path):
-        plan = tune(KEY, use_cache=False)
-        path = tmp_path / "plan.json"
-        plan.write(str(path))
-        loaded = load_plan_file(str(path))
-        assert loaded.to_json() == plan.to_json()
-        assert loaded.key == plan.key
-        assert loaded.knobs == plan.knobs
-        assert loaded.trace == plan.trace
-
-    def test_schema_id_enforced(self, tmp_path):
-        plan = make_plan()
-        doc = plan.to_dict()
-        doc["schema"] = "repro-tune-plan/99"
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigurationError, match="schema"):
-            load_plan_file(str(path))
-
-    def test_regressing_plan_unconstructible(self):
-        with pytest.raises(ConfigurationError, match="regresses"):
-            TunePlan(key=KEY, knobs={"pipeline_chunks": 8}, seed=0,
-                     baseline_elapsed=1.0, tuned_elapsed=1.1,
-                     model_fingerprint=FP)
-
-    def test_artifact_carries_schema_and_improvement(self):
-        doc = make_plan().to_dict()
-        assert doc["schema"] == PLAN_SCHEMA
-        assert doc["improvement"] == pytest.approx(0.1)
-
-    def test_malformed_file_is_configuration_error(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigurationError):
-            load_plan_file(str(path))
-        with pytest.raises(ConfigurationError):
-            load_plan_file(str(tmp_path / "missing.json"))
-
-
-# ----------------------------------------------------------------------
-# plan cache
-# ----------------------------------------------------------------------
-class TestPlanCache:
-    def test_store_then_lookup(self, tmp_path):
-        plan = make_plan()
-        assert store_plan(plan, directory=str(tmp_path))
-        hit = lookup_plan(KEY, FP, directory=str(tmp_path))
-        assert hit is plan
-        assert plan_cache_info()["hits"] == 1
-
-    def test_disk_survives_memory_clear(self, tmp_path):
-        plan = make_plan()
-        store_plan(plan, directory=str(tmp_path))
-        clear_plan_cache()
-        hit = lookup_plan(KEY, FP, directory=str(tmp_path))
-        assert hit is not None
-        assert hit.to_json() == plan.to_json()
-
-    def test_kernel_model_change_invalidates(self, tmp_path):
-        store_plan(make_plan(), directory=str(tmp_path))
-        other_spec = scaled_spec("faster", compute_scale=2.0)
-        stale_fp = model_fingerprint(other_spec, CPUSpec(), "simulated")
-        assert stale_fp != FP
-        assert lookup_plan(KEY, stale_fp, directory=str(tmp_path)) is None
-        # The stale entry was evicted from memory and disk.
-        clear_plan_cache()
-        assert lookup_plan(KEY, FP, directory=str(tmp_path)) is None
-
-    def test_backend_change_invalidates(self, tmp_path):
-        store_plan(make_plan(), directory=str(tmp_path))
-        numpy_fp = model_fingerprint(KEPLER_K40C, CPUSpec(), "numpy")
-        assert lookup_plan(KEY, numpy_fp, directory=str(tmp_path)) is None
-
-    def test_lru_eviction(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TUNE_CACHE", "2")
-        keys = [PlanKey(m=10_000 * (i + 1), n=500, k=10, ng=2)
-                for i in range(3)]
-        for k in keys:
-            store_plan(make_plan(key=k), directory=str(tmp_path))
-        assert plan_cache_info()["entries"] == 2
-        # Oldest evicted from memory; disk still has it.
-        info_before = plan_cache_info()
-        assert lookup_plan(keys[0], FP, directory=str(tmp_path)) is not None
-        assert plan_cache_info()["hits"] == info_before["hits"] + 1
-
-    def test_cache_disabled_by_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TUNE_CACHE", "0")
-        assert not store_plan(make_plan(), directory=str(tmp_path))
-        assert lookup_plan(KEY, FP, directory=str(tmp_path)) is None
-        assert not list(tmp_path.glob("*.plan.json"))
-
-    def test_bad_env_is_configuration_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TUNE_CACHE", "lots")
-        with pytest.raises(ConfigurationError, match="integer"):
-            store_plan(make_plan())
-        monkeypatch.setenv("REPRO_TUNE_CACHE", "-1")
-        with pytest.raises(ConfigurationError, match=">= 0"):
-            lookup_plan(KEY, FP)
-
-    def test_get_plan_serves_cache_then_searches(self, tmp_path):
-        first = get_plan(KEY, cache_dir=str(tmp_path))
-        misses = plan_cache_info()["misses"]
-        second = get_plan(KEY, cache_dir=str(tmp_path))
-        assert second is first or second.to_json() == first.to_json()
-        assert plan_cache_info()["misses"] == misses  # no new search
-
-
-# ----------------------------------------------------------------------
-# plan application: executors, configs, host math
-# ----------------------------------------------------------------------
 class TestPlanApplication:
-    def test_executor_apply_plan(self):
-        ex = MultiGPUExecutor(ng=2)
-        ex.apply_plan({"pipeline_chunks": 16, "cholqr_buffers": 4})
-        assert ex.pipeline_chunks == 16
-        assert ex.cholqr_buffers == 4
-
-    def test_executor_rejects_foreign_only_plan(self):
-        ex = MultiGPUExecutor(ng=2)
-        with pytest.raises(ConfigurationError, match="none of the"):
-            ex.apply_plan({"l_inc": 16})
-
-    def test_constructor_plan_overrides_kwargs(self):
-        ex = MultiGPUExecutor(ng=2, pipeline_chunks=2,
-                              plan={"pipeline_chunks": 16})
-        assert ex.pipeline_chunks == 16
-
     def test_bit_identical_host_math_tuned_vs_default(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((400, 120))
         cfg = SamplingConfig(rank=20, power_iterations=1, seed=1)
-        f_def = random_sampling(a, cfg,
-                                executor=MultiGPUExecutor(ng=2, seed=1))
-        tuned_ex = MultiGPUExecutor(
-            ng=2, seed=1, plan={"pipeline_chunks": 32,
-                                "cholqr_buffers": 8})
-        f_tuned = random_sampling(a, cfg, executor=tuned_ex)
+        f_def = random_sampling(a, cfg, executor=_executor(2, seed=1))
+        f_tuned = random_sampling(
+            a, cfg, executor=_executor(2, chunks=32, buffers=8, seed=1))
         assert np.array_equal(np.asarray(f_def.q), np.asarray(f_tuned.q))
         assert np.array_equal(np.asarray(f_def.r), np.asarray(f_tuned.r))
         assert np.array_equal(np.asarray(f_def.perm),
                               np.asarray(f_tuned.perm))
-
-    def test_sampling_config_plan_path(self, tmp_path):
-        plan = tune(KEY, use_cache=False)
-        path = tmp_path / "p.json"
-        plan.write(str(path))
-        ex = MultiGPUExecutor(ng=3)
-        cfg = SamplingConfig(rank=54, power_iterations=1, seed=0,
-                             plan=str(path))
-        res = random_sampling(SymArray((KEY.m, KEY.n)), cfg, executor=ex)
-        assert res.seconds == pytest.approx(plan.tuned_elapsed, rel=1e-12)
-
-    def test_sampling_config_plan_on_single_gpu_errors(self, tmp_path):
-        path = tmp_path / "p.json"
-        make_plan().write(str(path))
-        cfg = SamplingConfig(rank=10, plan=str(path))
-        with pytest.raises(ConfigurationError, match="multi-GPU"):
-            random_sampling(SymArray((1000, 100)), cfg,
-                            executor=GPUExecutor())
-
-    def test_config_rejects_plan_plus_auto_tune(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            SamplingConfig(rank=10, plan="x.json", auto_tune=True)
-        with pytest.raises(ConfigurationError, match="not both"):
-            AdaptiveConfig(tolerance=1e-6, plan="x.json", auto_tune=True)
-
-    def test_adaptive_config_l_inc_from_plan(self, tmp_path):
-        from repro.tune import apply_plan_to_config
-        path = tmp_path / "p.json"
-        make_plan(knobs={"l_inc": 16}).write(str(path))
-        cfg = apply_plan_to_config(
-            AdaptiveConfig(tolerance=1e-6, plan=str(path)))
-        assert cfg.l_inc == 16
-
-    def test_serve_config_plan(self, tmp_path):
-        from repro.serve.service import LowRankService, ServeConfig
-        path = tmp_path / "p.json"
-        make_plan(knobs={"max_batch": 16}).write(str(path))
-        svc = LowRankService(ServeConfig(plan=str(path)))
-        assert svc.config.max_batch == 16
-
-
-# ----------------------------------------------------------------------
-# harness / CLI exposure of pipeline_chunks
-# ----------------------------------------------------------------------
-class TestKnobExposure:
-    def test_timed_fixed_rank_pipeline_chunks(self):
-        from repro.bench.harness import timed_fixed_rank
-        base = timed_fixed_rank(m=150_000, n=2_500, ng=3)
-        deep = timed_fixed_rank(m=150_000, n=2_500, ng=3,
-                                pipeline_chunks=32)
-        assert deep.total < base.total
-        assert sum(base.breakdown.values()) == pytest.approx(
-            sum(deep.breakdown.values()), rel=1e-12)
-
-    def test_timed_fixed_rank_rejects_knobs_at_ng1(self):
-        from repro.bench.harness import timed_fixed_rank
-        with pytest.raises(ConfigurationError, match="ng >= 2"):
-            timed_fixed_rank(m=10_000, n=500, ng=1, pipeline_chunks=8)
-
-    def test_env_pipeline_chunks(self, monkeypatch):
-        from repro.bench.harness import timed_fixed_rank
-        monkeypatch.setenv("REPRO_PIPELINE_CHUNKS", "32")
-        deep = timed_fixed_rank(m=150_000, n=2_500, ng=3)
-        explicit = timed_fixed_rank(m=150_000, n=2_500, ng=3,
-                                    pipeline_chunks=32)
-        assert deep.total == explicit.total
-        # Single-GPU points ignore the env so mixed-ng sweeps work.
-        timed_fixed_rank(m=10_000, n=500, ng=1)
-
-    def test_env_pipeline_chunks_validation(self, monkeypatch):
-        from repro.bench.harness import timed_fixed_rank
-        monkeypatch.setenv("REPRO_PIPELINE_CHUNKS", "zero")
-        with pytest.raises(ConfigurationError, match="integer"):
-            timed_fixed_rank(m=150_000, n=2_500, ng=3)
-        monkeypatch.setenv("REPRO_PIPELINE_CHUNKS", "0")
-        with pytest.raises(ConfigurationError, match=">= 1"):
-            timed_fixed_rank(m=150_000, n=2_500, ng=3)
-
-    def test_recorder_cache_counters(self):
-        from repro.bench.harness import observed_fixed_rank
-        _, rec = observed_fixed_rank("fig15")
-        assert set(rec.cache_counters) >= {"matrix_gallery", "plan"}
-        for info in rec.cache_counters.values():
-            assert {"hits", "misses", "entries"} <= set(info)
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-class TestTuneCli:
-    def test_search_bench_and_gate(self, tmp_path, monkeypatch, capsys):
-        from repro.tune.cli import main
-        monkeypatch.chdir(tmp_path)
-        bench = tmp_path / "BENCH_tune.json"
-        summary = tmp_path / "summary.md"
-        rc = main(["search", "--figure", "fig15", "--ng", "2", "--ng", "3",
-                   "--bench", str(bench), "--summary", str(summary),
-                   "--gate", "--cache-dir", str(tmp_path / "cache")])
-        assert rc == 0
-        from repro.obs.artifact import load_artifact
-        doc = load_artifact(str(bench))
-        points = doc["figures"]["tune"]["points"]
-        assert len(points) == 4  # 2 ng x (default, tuned)
-        by = {(p["params"]["ng"], p["params"]["variant"]): p
-              for p in points}
-        for ng in (2, 3):
-            assert by[(ng, "tuned")]["total_seconds"] < \
-                by[(ng, "default")]["total_seconds"]
-        assert "| ng |" in summary.read_text()
-
-    def test_show_and_apply(self, tmp_path, capsys):
-        from repro.tune.cli import main
-        plan_path = tmp_path / "plan.json"
-        tune(KEY, use_cache=False).write(str(plan_path))
-        assert main(["show", str(plan_path)]) == 0
-        out = capsys.readouterr().out
-        assert "race gate:   passed" in out
-        assert main(["apply", str(plan_path), "--figure", "fig15",
-                     "--ng", "3"]) == 0
-
-    def test_clear_cache(self, tmp_path):
-        from repro.tune.cli import main
-        store_plan(make_plan(), directory=str(tmp_path))
-        rc = main(["clear-cache", "--disk", "--cache-dir", str(tmp_path)])
-        assert rc == 0
-        assert not list(tmp_path.glob("*.plan.json"))
-
-    def test_usage_errors_exit_2(self, tmp_path):
-        from repro.tune.cli import main
-        assert main(["show", str(tmp_path / "missing.json")]) == 2
-        assert main(["search", "--figure", "nope"]) == 2
-
-
-# ----------------------------------------------------------------------
-# analyzer rule RS120
-# ----------------------------------------------------------------------
-class TestRS120:
-    def _run(self, tmp_path, source):
-        from repro.analysis.engine import analyze_paths
-        path = tmp_path / "mod.py"
-        path.write_text(source)
-        findings = analyze_paths([path], select=["RS120"], root=tmp_path)
-        return [f for f in findings if f.rule == "RS120"]
-
-    def test_flags_literal_knob_kwarg(self, tmp_path):
-        found = self._run(tmp_path, (
-            '"""d"""\n__all__ = []\n'
-            'def f(ex):\n    return ex.run(pipeline_chunks=8)\n'))
-        assert len(found) == 1
-        assert "pipeline_chunks" in found[0].message
-
-    def test_allows_config_constructors(self, tmp_path):
-        assert not self._run(tmp_path, (
-            '"""d"""\nfrom repro.config import AdaptiveConfig\n'
-            '__all__ = []\n'
-            'def f():\n'
-            '    return AdaptiveConfig(tolerance=1e-6, l_inc=16)\n'))
-
-    def test_allows_variables(self, tmp_path):
-        assert not self._run(tmp_path, (
-            '"""d"""\n__all__ = []\n'
-            'def f(ex, chunks):\n'
-            '    return ex.run(pipeline_chunks=chunks)\n'))
-
-    def test_shipped_tree_is_clean(self):
-        from pathlib import Path
-        from repro.analysis.engine import analyze_paths
-        root = Path(__file__).resolve().parents[1]
-        findings = analyze_paths(
-            [root / "src" / "repro", root / "benchmarks"],
-            select=["RS120"], root=root)
-        assert [f for f in findings if f.rule == "RS120"] == []
