@@ -79,9 +79,10 @@ def timed_fixed_rank(m: int, n: int, k: int = 54, p: int = 10, q: int = 1,
     device(s) and return the modeled phase breakdown.
 
     Every run is watched by a :class:`repro.obs.spans.SpanRecorder`
-    (pass ``recorder`` to supply your own and keep the span tree); the
-    returned timing carries the recorder's aggregates (FLOPs, bytes
-    moved, achieved Gflop/s, peak device memory).  ``overlap`` selects
+    (pass ``recorder`` to supply your own and read its span tree; the
+    default one is never read, so it builds no span); the returned
+    timing carries the recorder's aggregates (FLOPs, bytes moved,
+    achieved Gflop/s, peak device memory).  ``overlap`` selects
     the multi-GPU stream schedule: ``True`` pipelines compute against
     communication (the paper's runtime), ``False`` is the serial-sum
     ablation; phase breakdowns are identical either way.

@@ -2,10 +2,11 @@
 
 Layers (see ``docs/observability.md``):
 
-- :mod:`repro.obs.spans` — hierarchical run → step → kernel spans
-  wrapping the :class:`repro.gpu.trace.TimeLine` phase accounting,
-  with per-phase counters (calls, FLOPs, bytes moved) and the device
-  memory high-water mark.
+- :mod:`repro.obs.spans` — a flat log of every modeled kernel, next
+  to the :class:`repro.gpu.trace.TimeLine` phase accounting, with
+  per-phase counters (calls, FLOPs, bytes moved) and the device memory
+  high-water mark; the hierarchical run → step → kernel span tree is
+  built from the log when it is read.
 - :mod:`repro.obs.chrome` — Chrome trace-event export of a recorded
   run (loadable in Perfetto / ``chrome://tracing``).
 - :mod:`repro.obs.artifact` — the versioned ``BENCH_*.json`` series

@@ -22,14 +22,26 @@ critical path).  Symmetric multi-device work arrives once *accounted*
 (it feeds the per-phase counters) plus unaccounted mirror spans for
 the other devices, which appear in the tree and the Chrome trace but
 never in the totals.
+
+Recording does not build the tree.  Each charge appends one tuple to
+a flat log and updates the clock, the per-phase counters and the
+peak-memory mark; opening and ending a run append a marker.  The tree
+is built from the log the first time something reads it
+(:attr:`SpanRecorder.runs`, :meth:`SpanRecorder.spans`,
+:meth:`SpanRecorder.kernel_spans` and the Chrome export on top of
+them), and each later read converts only the entries logged since.  A
+run nobody reads, such as every point of the Figure 11-15 sweeps,
+builds no span at all.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import inf
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..gpu.trace import PHASES
@@ -49,12 +61,13 @@ _SPAN_FIELDS = ("name", "kind", "start", "duration", "phase", "device_id",
 class Span:
     """One node of the span tree (all times are modeled seconds).
 
-    A hand-written ``__slots__`` class, not a dataclass: one span is
-    built per modeled charge, so construction sits on the accounting
-    hot path (``dataclass(slots=True)`` needs Python 3.10).  It keeps a
-    dataclass's keyword constructor, defaults, ``__eq__`` and
-    ``__repr__``, but the :mod:`dataclasses` helpers (``asdict``,
-    ``replace``, ``fields``) do not apply — use :meth:`to_dict`.
+    A hand-written ``__slots__`` class, not a dataclass: reading a
+    recorder builds one span per logged kernel, so a large trace builds
+    many, and slots keep them small (``dataclass(slots=True)`` needs
+    Python 3.10).  It keeps a dataclass's keyword constructor,
+    defaults, ``__eq__`` and ``__repr__``, but the :mod:`dataclasses`
+    helpers (``asdict``, ``replace``, ``fields``) do not apply — use
+    :meth:`to_dict`.
 
     ``stream`` names the stream of a scheduler-placed kernel (None =
     serial clock).  ``accounted`` is False for mirror spans of
@@ -147,22 +160,48 @@ class PhaseCounter:
                 "flops": self.flops, "bytes_moved": self.bytes_moved}
 
 
+def _merge(previous: Tuple[str, ...], labels: Sequence) -> Tuple[str, ...]:
+    """``previous`` followed by the new (stringified) ``labels``."""
+    merged = list(previous)
+    for lab in labels:
+        lab = str(lab)
+        if lab not in merged:
+            merged.append(lab)
+    return tuple(merged)
+
+
+#: Length of a kernel entry in the log: ``(phase, name, start, seconds,
+#: flops, bytes_moved, device_id, memory_high_water, stream, accounted,
+#: context, labels)``.  ``start`` is where the kernel was placed (the
+#: clock, unless the caller passed one); ``context`` is the open
+#: :meth:`SpanRecorder.labelled` tuple, which a step opened by this
+#: kernel takes; ``labels`` are the kernel's own (the context plus any
+#: ``labels=`` of the call).  The log's other entries are run markers:
+#: ``(name, start, labels)`` opens a run and ``(end,)`` ends it.
+_KERNEL_ENTRY = 12
+
+
 class SpanRecorder:
-    """Collects the span tree and counters for one (or more) runs.
+    """Collects the kernel log, counters and span tree of runs.
 
     Attach to an executor with ``executor.attach_recorder(recorder)``;
     every subsequent :meth:`repro.gpu.device.SimulatedGPU.charge`
-    lands here as a kernel span.  Kernel spans arriving with a phase
-    different from the open step close that step and open a new one,
-    so the step level reflects the algorithm's actual phase sequence
-    (prng, sampling, the gemm/orth interleave, qrcp, qr, ...).
+    lands here through :meth:`record_kernel`.  In the tree a kernel
+    arriving with a phase different from the open step closes that
+    step and opens a new one, so the step level reflects the
+    algorithm's actual phase sequence (prng, sampling, the gemm/orth
+    interleave, qrcp, qr, ...).
+
+    Recording only appends to a log; the tree is built when it is
+    read.  One thread writes (records, opens and ends runs, enters
+    :meth:`labelled`); any thread may read at any time.  Reads are
+    serialized by a lock and convert only entries already appended, so
+    a read that races a write loses nothing: the next read picks up
+    whatever it missed.
     """
 
     def __init__(self) -> None:
-        self.runs: List[Span] = []
         self.clock = 0.0
-        self._run: Optional[Span] = None
-        self._step: Optional[Span] = None
         self.counters: Dict[str, PhaseCounter] = {}
         self.peak_memory_bytes = 0
         #: Races mirrored from an attached stream-scheduler race checker
@@ -183,6 +222,16 @@ class SpanRecorder:
         #: Labels applied to every span recorded while a
         #: :meth:`labelled` context is open (e.g. a serve request id).
         self._labels: Tuple[str, ...] = ()
+        # -- writer side: the open run's start marker, and the log of
+        # entries not yet converted into spans.
+        self._open: Optional[tuple] = None
+        self._log: Deque[tuple] = deque()
+        # -- reader side: the tree, and where conversion stopped.
+        self._read_lock = threading.Lock()
+        self._runs: List[Span] = []
+        self._run: Optional[Span] = None       # the last run, while open
+        self._step: Optional[Span] = None      # its last step
+        self._read_clock = 0.0                 # clock after the last entry
 
     @contextmanager
     def labelled(self, *labels: str):
@@ -195,12 +244,7 @@ class SpanRecorder:
         context.  Contexts nest; duplicate labels collapse.
         """
         previous = self._labels
-        merged = list(previous)
-        for lab in labels:
-            lab = str(lab)
-            if lab not in merged:
-                merged.append(lab)
-        self._labels = tuple(merged)
+        self._labels = _merge(previous, labels)
         try:
             yield self
         finally:
@@ -229,27 +273,28 @@ class SpanRecorder:
         self.races.append(dict(race))
 
     # -- run management ---------------------------------------------------
-    def begin_run(self, name: str = "run") -> Span:
-        """Open a run span; implicit for bare ``record_kernel`` calls."""
-        if self._run is not None:
+    def begin_run(self, name: str = "run") -> None:
+        """Open a run; implicit for bare ``record_kernel`` calls."""
+        if self._open is not None:
             raise ConfigurationError(
-                f"run {self._run.name!r} is still open; end it first")
-        self._run = Span(name=name, kind="run", start=self.clock,
-                         labels=self._labels)
-        self.runs.append(self._run)
-        return self._run
+                f"run {self._open[0]!r} is still open; end it first")
+        self._open = (name, self.clock, self._labels)
+        self._log.append(self._open)
 
-    def end_run(self) -> Span:
-        if self._run is None:
+    def end_run(self) -> None:
+        if self._open is None:
             raise ConfigurationError("no open run to end")
-        self._close_step()
-        run, self._run = self._run, None
-        run.duration = self.clock - run.start
-        return run
+        self._open = None
+        self._log.append((self.clock,))
 
-    def run_span(self, name: str = "run") -> "_RunContext":
+    @contextmanager
+    def run_span(self, name: str = "run"):
         """``with recorder.run_span("fig11 m=50000"): ...``"""
-        return _RunContext(self, name)
+        self.begin_run(name)
+        try:
+            yield self
+        finally:
+            self.end_run()
 
     # -- kernel ingestion (called by SimulatedGPU.charge) -----------------
     def record_kernel(self, phase: str, label: str, seconds: float,
@@ -258,7 +303,7 @@ class SpanRecorder:
                       stream: Optional[str] = None,
                       start: Optional[float] = None,
                       accounted: bool = True,
-                      labels: Sequence[str] = ()) -> Span:
+                      labels: Sequence[str] = ()) -> None:
         """Ingest one kernel charge.
 
         Without ``start`` the kernel is laid out sequentially at the
@@ -272,9 +317,9 @@ class SpanRecorder:
         :meth:`labelled` context) tag the span with request/run
         identifiers for the Chrome-trace export.
 
-        This runs once per modeled charge, so past the checks it is a
-        few attribute writes: no labels reuses the open context's tuple
-        and the phase's counter is built once, then updated in place.
+        This runs once per modeled charge, so past the checks it only
+        appends one log entry and updates the clock, the phase's
+        counter and the peak-memory mark.  It builds no span.
         """
         if phase not in PHASES:
             raise ConfigurationError(
@@ -286,34 +331,14 @@ class SpanRecorder:
         if start is not None and start < 0:
             raise ConfigurationError(f"negative span start: {start}")
         placed = self.clock if start is None else start
-        if self._run is None:
+        if self._open is None:
             self.begin_run()
-        step = self._step
-        if step is None or step.phase != phase:
-            self._close_step()
-            step = self._step = Span(name=phase, kind="step", phase=phase,
-                                     start=min(self.clock, placed),
-                                     labels=self._labels)
-            self._run.children.append(step)
-        if labels:
-            merged = list(self._labels)
-            for lab in labels:
-                lab = str(lab)
-                if lab not in merged:
-                    merged.append(lab)
-            labels = tuple(merged)
-        else:
-            labels = self._labels
-        kernel = Span(name=label or phase, kind="kernel", phase=phase,
-                      start=placed, duration=seconds,
-                      device_id=device_id, flops=flops,
-                      bytes_moved=bytes_moved,
-                      memory_high_water=memory_high_water,
-                      stream=stream, accounted=accounted, labels=labels)
-        step.children.append(kernel)
+        context = self._labels
+        self._log.append((phase, label or phase, placed, seconds, flops,
+                          bytes_moved, device_id, memory_high_water, stream,
+                          accounted, context,
+                          _merge(context, labels) if labels else context))
         if accounted:
-            step.flops += flops
-            step.bytes_moved += bytes_moved
             end = placed + seconds
             if end > self.clock:
                 self.clock = end
@@ -324,12 +349,6 @@ class SpanRecorder:
             high_water = int(memory_high_water)
             if high_water > self.peak_memory_bytes:
                 self.peak_memory_bytes = high_water
-        return kernel
-
-    def _close_step(self) -> None:
-        if self._step is not None:
-            self._step.duration = self.clock - self._step.start
-            self._step = None
 
     # -- aggregate views ---------------------------------------------------
     @property
@@ -350,40 +369,79 @@ class SpanRecorder:
         t = self.total
         return self.total_flops / (t * 1e9) if t > 0 else 0.0
 
-    def kernel_spans(self) -> Iterator[Span]:
-        self._sync_open()
-        for run in self.runs:
-            for span in run.walk():
-                if span.kind == "kernel":
-                    yield span
+    # -- the span tree, built on read -------------------------------------
+    @property
+    def runs(self) -> List[Span]:
+        """The run spans, built from the log up to now (the live list)."""
+        return self._build()
 
     def spans(self) -> List[Span]:
-        """The recorded run spans (open spans get a current-clock end)."""
-        self._sync_open()
-        return list(self.runs)
+        """The recorded run spans (open spans end at the current clock)."""
+        return list(self._build())
 
-    def _sync_open(self) -> None:
-        """Give still-open run/step spans an up-to-date duration."""
-        if self._step is not None:
-            self._step.duration = self.clock - self._step.start
-        if self._run is not None:
-            self._run.duration = self.clock - self._run.start
+    def kernel_spans(self) -> Iterator[Span]:
+        for run in self._build():
+            for step in run.children:
+                yield from step.children
+
+    def _build(self) -> List[Span]:
+        """Convert the entries logged since the last read into spans.
+
+        The reader pops as many entries as the log holds when it starts,
+        so whatever the writer appends meanwhile waits for the next
+        read, and each entry is freed as soon as its span exists.  A
+        still-open run and its last step get a duration up to the clock
+        of the last converted entry (the current clock, when no write is
+        in flight).
+        """
+        with self._read_lock:
+            log = self._log
+            run, step, clock = self._run, self._step, self._read_clock
+            for _ in range(len(log)):
+                entry = log.popleft()
+                if len(entry) == _KERNEL_ENTRY:
+                    (phase, name, start, seconds, flops, bytes_moved,
+                     device_id, high_water, stream, accounted, context,
+                     labels) = entry
+                    if step is None or step.phase != phase:
+                        if step is not None:
+                            step.duration = clock - step.start
+                        step = Span(name=phase, kind="step", phase=phase,
+                                    start=min(clock, start),
+                                    labels=context)
+                        run.children.append(step)
+                    step.children.append(Span(
+                        name=name, kind="kernel", phase=phase, start=start,
+                        duration=seconds, device_id=device_id, flops=flops,
+                        bytes_moved=bytes_moved,
+                        memory_high_water=high_water, stream=stream,
+                        accounted=accounted, labels=labels))
+                    if accounted:
+                        step.flops += flops
+                        step.bytes_moved += bytes_moved
+                        finish = start + seconds
+                        if finish > clock:
+                            clock = finish
+                elif len(entry) == 3:
+                    name, clock, labels = entry
+                    run = Span(name=name, kind="run", start=clock,
+                               labels=labels)
+                    self._runs.append(run)
+                    step = None
+                else:
+                    (end,) = entry
+                    if step is not None:
+                        step.duration = end - step.start
+                    run.duration = end - run.start
+                    run = step = None
+            if run is not None:
+                if step is not None:
+                    step.duration = clock - step.start
+                run.duration = clock - run.start
+            self._run, self._step, self._read_clock = run, step, clock
+            return self._runs
 
     def counters_dict(self) -> Dict[str, Dict]:
         """Per-phase counters in the paper's legend order."""
         return {p: self.counters[p].to_dict()
                 for p in PHASES if p in self.counters}
-
-
-class _RunContext:
-    def __init__(self, recorder: SpanRecorder, name: str):
-        self.recorder = recorder
-        self.name = name
-        self.span: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        self.span = self.recorder.begin_run(self.name)
-        return self.span
-
-    def __exit__(self, *exc) -> None:
-        self.recorder.end_run()

@@ -127,7 +127,8 @@ class LowRankService:
     ``submit`` resolves to a :class:`repro.serve.request.ResultArtifact`
     or raises the typed rejection (queue full, closed, deadline,
     cancelled).  :attr:`counters` aggregates service metrics and
-    :attr:`recorder` holds the span tree of everything the worker ran.
+    :attr:`recorder` logs every kernel the worker ran; its span tree is
+    built from that log when something reads it.
     """
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:

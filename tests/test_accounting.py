@@ -2,20 +2,28 @@
 
 One modeled charge lands in two sinks — the device
 :class:`repro.gpu.trace.TimeLine` and the attached
-:class:`repro.obs.spans.SpanRecorder` — and each recorded kernel builds
-a slotted :class:`repro.obs.spans.Span`.  These tests pin what must not
-move while that path is kept cheap: the two sinks agree bit for bit,
-step aggregates count only accounted kernels, every sink rejects a
-non-finite charge, the span tree is unchanged, and executors seed
+:class:`repro.obs.spans.SpanRecorder`.  The recorder appends each
+charge to a flat kernel log and builds the tree of slotted
+:class:`repro.obs.spans.Span` objects only when it is read.  These
+tests pin what must not move while that path is kept cheap: the two
+sinks agree bit for bit, the tree built from the log equals the one
+the eager per-charge algorithm built (also under a racing read), step
+aggregates count only accounted kernels, every sink rejects a
+non-finite charge, an unread run builds no span, and executors seed
 their RNG only when a sampling matrix is actually drawn.
 """
 
 import hashlib
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.backends.base import ComputeBackend
 from repro.bench.harness import observed_fixed_rank, timed_fixed_rank
@@ -96,6 +104,279 @@ class TestSlottedSpan:
         assert digest == ("db040c021a45b7cbe54af99f45af8c3f"
                           "6aad8f059d093c0dc77b0969e9701c5a")
 
+    def test_fig15_tree_is_unchanged(self):
+        # Same digest for the stream-scheduled fig15 run (ng=3, overlap
+        # on), taken with the eager per-charge recorder: it pins stream
+        # placement, device ids and the unaccounted mirror spans.
+        _, rec = observed_fixed_rank("fig15", ng=3, overlap=True)
+        (run,) = rec.spans()
+        walked = list(run.walk())
+        assert len(walked) == 173
+        doc = {"tree": run.to_dict(),
+               "walk": [[s.kind, s.name, s.phase, s.start, s.duration,
+                         s.flops] for s in walked]}
+        digest = hashlib.sha256(
+            json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == ("72d4dd8d363e6f4a53eb66fa1dee47e5"
+                          "363cafd4f6ad2305afb33e93c861bdd1")
+
+
+# ---------------------------------------------------------------------------
+# The tree built from the kernel log equals the eager tree
+# ---------------------------------------------------------------------------
+
+def _merged(previous, labels):
+    out = list(previous)
+    for lab in map(str, labels):
+        if lab not in out:
+            out.append(lab)
+    return tuple(out)
+
+
+class EagerTree:
+    """Oracle: the span tree built one span per charge, as the recorder
+    did before it kept a kernel log."""
+
+    def __init__(self):
+        self.runs = []
+        self.clock = 0.0
+        self.labels = ()
+        self.open_run = None
+        self._step = None
+
+    def begin_run(self, name="run"):
+        self.open_run = Span(name=name, kind="run", start=self.clock,
+                             labels=self.labels)
+        self.runs.append(self.open_run)
+
+    def _close_step(self):
+        if self._step is not None:
+            self._step.duration = self.clock - self._step.start
+            self._step = None
+
+    def end_run(self):
+        self._close_step()
+        self.open_run.duration = self.clock - self.open_run.start
+        self.open_run = None
+
+    def record_kernel(self, phase, label, seconds, flops=0.0,
+                      bytes_moved=0.0, device_id=0, memory_high_water=0,
+                      stream=None, start=None, accounted=True, labels=()):
+        placed = self.clock if start is None else start
+        if self.open_run is None:
+            self.begin_run()
+        step = self._step
+        if step is None or step.phase != phase:
+            self._close_step()
+            step = self._step = Span(name=phase, kind="step", phase=phase,
+                                     start=min(self.clock, placed),
+                                     labels=self.labels)
+            self.open_run.children.append(step)
+        step.children.append(Span(
+            name=label or phase, kind="kernel", phase=phase, start=placed,
+            duration=seconds, device_id=device_id, flops=flops,
+            bytes_moved=bytes_moved, memory_high_water=memory_high_water,
+            stream=stream, accounted=accounted,
+            labels=_merged(self.labels, labels) if labels else self.labels))
+        if accounted:
+            step.flops += flops
+            step.bytes_moved += bytes_moved
+            if placed + seconds > self.clock:
+                self.clock = placed + seconds
+
+    def spans(self):
+        if self._step is not None:
+            self._step.duration = self.clock - self._step.start
+        if self.open_run is not None:
+            self.open_run.duration = self.clock - self.open_run.start
+        return list(self.runs)
+
+    def kernels(self):
+        return [k for run in self.spans() for step in run.children
+                for k in step.children]
+
+
+_LABEL = st.sampled_from(["a", "b", "req-1"])
+_LABELS = st.lists(_LABEL, max_size=2)
+_KERNEL = st.tuples(
+    st.just("kernel"),
+    st.sampled_from(PHASES[:4]),  # few phases: long steps and breaks
+    st.sampled_from(["", "gemm", "potrf"]),
+    st.floats(0.0, 4.0),
+    st.floats(0.0, 1e9),
+    st.floats(0.0, 1e9),
+    st.integers(-1, 2),
+    st.integers(0, 1 << 20),
+    st.one_of(st.none(), st.tuples(st.sampled_from(["compute", "comms"]),
+                                   st.floats(0.0, 8.0))),
+    st.booleans(),
+    _LABELS)
+_OPS = st.lists(st.one_of(
+    _KERNEL, _KERNEL,
+    st.tuples(st.just("push"), st.lists(_LABEL, min_size=1, max_size=2)),
+    st.just(("pop",)),
+    st.tuples(st.just("run"), st.sampled_from(["r1", "r2"])),
+    st.just(("end",)),
+    st.sampled_from([("read", "spans"), ("read", "kernels"),
+                     ("read", "runs")])), max_size=60)
+
+
+def _drive(ops):
+    """Apply ``ops`` to a recorder and the oracle; check every read."""
+    rec, oracle = SpanRecorder(), EagerTree()
+    stack = []  # open contexts, innermost last: (kind, manager, labels)
+
+    def pop():
+        kind, manager, previous = stack.pop()
+        manager.__exit__(None, None, None)
+        if kind == "labels":
+            oracle.labels = previous
+        else:
+            oracle.end_run()
+
+    for op in ops:
+        if op[0] == "kernel":
+            (_, phase, label, seconds, flops, moved, device, high_water,
+             placed, accounted, labels) = op
+            stream, start = placed if placed is not None else (None, None)
+            kwargs = dict(flops=flops, bytes_moved=moved, device_id=device,
+                          memory_high_water=high_water, stream=stream,
+                          start=start, accounted=accounted, labels=labels)
+            rec.record_kernel(phase, label, seconds, **kwargs)
+            oracle.record_kernel(phase, label, seconds, **kwargs)
+        elif op[0] == "push":
+            manager = rec.labelled(*op[1])
+            manager.__enter__()
+            stack.append(("labels", manager, oracle.labels))
+            oracle.labels = _merged(oracle.labels, op[1])
+        elif op[0] == "run" and oracle.open_run is None:
+            manager = rec.run_span(op[1])
+            manager.__enter__()
+            oracle.begin_run(op[1])
+            stack.append(("run", manager, None))
+        elif op[0] == "pop" and stack:
+            pop()
+        elif op[0] == "end" and oracle.open_run is not None and not any(
+                kind == "run" for kind, _, _ in stack):
+            rec.end_run()  # an implicit run
+            oracle.end_run()
+        elif op[0] == "read":
+            if op[1] == "spans":
+                assert rec.spans() == oracle.spans()
+            elif op[1] == "kernels":
+                assert list(rec.kernel_spans()) == oracle.kernels()
+            else:
+                assert rec.runs == oracle.spans()
+    final = rec.spans()
+    assert final == oracle.spans()
+    while stack:
+        pop()
+    assert rec.spans() == oracle.spans()
+    assert list(rec.kernel_spans()) == oracle.kernels()
+    assert rec.clock == oracle.clock
+    return final
+
+
+class TestKernelLog:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_OPS)
+    def test_tree_equals_the_eager_oracle(self, ops):
+        _drive(ops)
+
+    def test_oracle_drive_covers_steps_mirrors_and_labels(self):
+        ops = [("push", ["a"]), ("run", "r1"),
+               ("kernel", "prng", "", 1.0, 0.0, 0.0, 0, 5, None, True, []),
+               ("read", "spans"),
+               ("kernel", "sampling", "gemm", 2.0, 4.0, 8.0, 0, 7,
+                ("compute", 0.5), True, ["b"]),
+               ("kernel", "sampling", "gemm", 2.0, 4.0, 8.0, 1, 7,
+                ("compute", 0.5), False, []),
+               ("pop",), ("kernel", "qr", "", 1.0, 0.0, 0.0, 0, 0, None,
+                          True, []), ("read", "kernels")]
+        first, implicit = _drive(ops)
+        assert [s.phase for s in first.children] == ["prng", "sampling"]
+        assert [k.labels for k in first.children[1].children] == [
+            ("a", "b"), ("a",)]
+        assert first.children[1].flops == 4.0
+        assert implicit.name == "run" and implicit.labels == ("a",)
+
+    def test_read_racing_a_write_loses_nothing(self):
+        rec = SpanRecorder()
+        runs, per_run = 8, 400
+
+        def write(recorder, pause):
+            for r in range(runs):
+                with recorder.labelled(f"req-{r}"), \
+                        recorder.run_span(f"run-{r}"):
+                    for i in range(per_run):
+                        recorder.record_kernel(
+                            PHASES[(i // 3) % 4], f"k{r}.{i}", 0.25,
+                            flops=1.0, device_id=i % 3,
+                            stream="compute", start=0.1 * i,
+                            accounted=i % 3 == 0)
+                        if pause and i % 50 == 0:
+                            time.sleep(0)  # let the readers in
+            # An implicit run that is still open at the end.
+            recorder.record_kernel("qr", "tail", 1.0)
+
+        writing = threading.Event()
+        writing.set()
+        partial = []
+
+        def read(spans):
+            # Two readers, so reads also race each other.
+            while writing.is_set():
+                if spans:
+                    rec.spans()
+                else:
+                    partial.append(sum(1 for _ in rec.kernel_spans()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read, args=(spans,))
+                       for spans in (True, False)]
+            for reader in readers:
+                reader.start()
+            try:
+                write(rec, pause=True)
+            finally:
+                writing.clear()
+                for reader in readers:
+                    reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        kernels = list(rec.kernel_spans())
+        assert len(kernels) == runs * per_run + 1
+        assert [k.name for k in kernels] == [
+            f"k{r}.{i}" for r in range(runs) for i in range(per_run)
+        ] + ["tail"]
+        once = SpanRecorder()
+        write(once, pause=False)
+        assert rec.spans() == once.spans()
+        assert partial == sorted(partial)  # reads only ever grew
+
+    def test_unread_fixed_rank_run_builds_no_span(self, monkeypatch):
+        built = []
+        init = Span.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("kind"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Span, "__init__", counting)
+        for ng in (1, 3):
+            timing = timed_fixed_rank(m=50_000, n=2_500, ng=ng)
+            assert timing.total > 0 and timing.flops > 0
+        assert built == []
+        # The count sees spans: reading a recorder builds its tree.
+        _, rec = observed_fixed_rank("fig11")
+        assert built == []
+        rec.spans()
+        assert len(built) == 22
+
 
 # ---------------------------------------------------------------------------
 # The two sinks agree bit for bit
@@ -165,10 +446,10 @@ class TestStepAggregates:
         rec = SpanRecorder()
         rec.record_kernel("sampling", "gemm", 1.0, flops=4.0,
                           bytes_moved=8.0, start=0.0, stream="compute")
-        mirror = rec.record_kernel("sampling", "gemm", 1.0, flops=4.0,
-                                   bytes_moved=8.0, device_id=1,
-                                   start=0.0, stream="compute",
-                                   accounted=False)
+        rec.record_kernel("sampling", "gemm", 1.0, flops=4.0,
+                          bytes_moved=8.0, device_id=1, start=0.0,
+                          stream="compute", accounted=False)
+        (mirror,) = [s for s in rec.kernel_spans() if not s.accounted]
         (run,) = rec.spans()
         (step,) = run.children
         assert mirror in step.children

@@ -8,6 +8,7 @@ factors a solo run of the same request produces.
 import asyncio
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -669,3 +670,38 @@ class TestSpanLabels:
                   if e.get("args", {}).get("labels") == ["req-x"]]
         # run span, step span, and the kernel all carry the label
         assert len(tagged) == 3
+
+
+# ----------------------------------------------------------------------
+# recorder memory of a long-lived service
+# ----------------------------------------------------------------------
+class TestRecorderMemory:
+    def test_recorder_growth_per_request(self):
+        # The service never drains its recorder, so it grows with every
+        # request.  Its kernel log holds one tuple per charge and builds
+        # no span until the recorder is read; this bounds the growth
+        # rate, not the total.
+        ref = MatrixRef(name="power", m=600, n=120, seed=1)
+        count = 200
+
+        async def drive():
+            cfg = ServeConfig(batch_window_s=0.0)
+            async with LowRankService(cfg) as svc:
+                await svc.submit(DecompRequest(matrix=ref, rank=10))
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.take_snapshot()
+                    for i in range(count):
+                        await svc.submit(DecompRequest(matrix=ref, rank=10,
+                                                       seed=i))
+                    after = tracemalloc.take_snapshot()
+                finally:
+                    tracemalloc.stop()
+                return svc, before, after
+
+        svc, before, after = asyncio.run(drive())
+        only = [tracemalloc.Filter(True, "*repro/obs/spans.py")]
+        growth = sum(d.size_diff for d in after.filter_traces(only)
+                     .compare_to(before.filter_traces(only), "filename"))
+        assert 0 < growth / count <= 2500
+        assert len(svc.recorder.runs) == count + 1
