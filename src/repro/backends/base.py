@@ -214,11 +214,6 @@ class ComputeBackend(abc.ABC):
         with _KernelTimer(self.stats):
             return self._qrcp(a)
 
-    def lstsq(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Least-squares solution of ``a x = b`` (CUR's core solve)."""
-        with _KernelTimer(self.stats):
-            return self._lstsq(a, b)
-
     def row_norms(self, a: np.ndarray) -> np.ndarray:
         """Per-row Euclidean norms."""
         with _KernelTimer(self.stats):
@@ -251,9 +246,6 @@ class ComputeBackend(abc.ABC):
 
     @abc.abstractmethod
     def _qr(self, a): ...
-
-    @abc.abstractmethod
-    def _lstsq(self, a, b) -> np.ndarray: ...
 
     @abc.abstractmethod
     def _row_norms(self, a) -> np.ndarray: ...

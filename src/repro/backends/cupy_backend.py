@@ -107,10 +107,6 @@ class CupyBackend(ComputeBackend):
         q, r = cupy.linalg.qr(self._t(a))
         return self._n(q), self._n(r)
 
-    def _lstsq(self, a, b) -> np.ndarray:  # pragma: no cover
-        x, *_ = cupy.linalg.lstsq(self._t(a), self._t(b), rcond=None)
-        return self._n(x)
-
     def _row_norms(self, a) -> np.ndarray:  # pragma: no cover
         return self._n(cupy.linalg.norm(self._t(a), axis=1))
 

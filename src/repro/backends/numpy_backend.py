@@ -46,9 +46,6 @@ class NumpyBackend(ComputeBackend):
     def _qr(self, a) -> Tuple[np.ndarray, np.ndarray]:
         return hostmath.qr(np.asarray(a))
 
-    def _lstsq(self, a, b) -> np.ndarray:
-        return hostmath.lstsq(a, b)
-
     def _row_norms(self, a) -> np.ndarray:
         return hostmath.row_norms(np.asarray(a))
 

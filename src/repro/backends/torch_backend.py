@@ -124,16 +124,6 @@ class TorchBackend(ComputeBackend):
         q, r = torch.linalg.qr(self._t(a))
         return self._n(q), self._n(r)
 
-    def _lstsq(self, a, b) -> np.ndarray:
-        ta, tb = self._t(a), self._t(b)
-        if self.device.type == "cpu":
-            # gelsd matches numpy's minimum-norm SVD solution for
-            # rank-deficient systems; the GPU drivers only offer gels.
-            sol = torch.linalg.lstsq(ta, tb, driver="gelsd").solution
-        else:  # pragma: no cover - needs a CUDA device
-            sol = torch.linalg.lstsq(ta, tb).solution
-        return self._n(sol)
-
     def _row_norms(self, a) -> np.ndarray:
         return self._n(torch.linalg.vector_norm(self._t(a), dim=1))
 

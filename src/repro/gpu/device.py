@@ -325,7 +325,7 @@ class SimulatedGPU:
                labels: Sequence[str] = ()) -> None:
         # The timeline checks the phase and the seconds before anything
         # lands, so a bad charge reaches neither sink.
-        self.timeline.charge(phase, seconds, label)
+        self.timeline.charge(phase, seconds)
         if self.recorder is not None:
             self.recorder.record_kernel(
                 phase=phase, label=label or phase, seconds=seconds,

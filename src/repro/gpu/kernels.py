@@ -147,11 +147,6 @@ class KernelModel:
         nbytes = 8.0 * rows * cols
         return nbytes / (self.spec.mem_bw_gbs * 1e9) + self.spec.kernel_launch_s
 
-    def gemv_seconds(self, m: int, n: int) -> float:
-        """Matrix-vector multiply (memory-bound; the Fig. 8 GEMV line)."""
-        return (2.0 * m * n / (self.gemv_gflops(m, n) * 1e9)
-                + self.spec.kernel_launch_s)
-
     def gemv_gflops(self, m: int, n: int) -> float:
         """GEMV rate: bandwidth-bound, capped by the spec's flat rate."""
         bw_bound = self.spec.mem_bw_gbs / 4.0  # 2 flops per 8 bytes

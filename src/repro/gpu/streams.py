@@ -277,7 +277,7 @@ class StreamScheduler:
         self._frontier = max(self._frontier, end)
         self._submissions += 1
         if account:
-            self.timeline.charge(phase, seconds, label)
+            self.timeline.charge(phase, seconds)
         if self.recorder is not None:
             for device, stream, accounted in record_on:
                 hw = (self.memory_probe(device)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..errors import ConfigurationError
 
@@ -43,13 +43,13 @@ class Phase:
 class TimeLine:
     """Accumulates modeled kernel times per phase.
 
-    Also keeps an ordered event log ``(phase, label, seconds)`` so a
-    run can be inspected kernel by kernel.
+    To inspect a run kernel by kernel, attach a
+    :class:`repro.obs.spans.SpanRecorder` to its executor and read the
+    recorder's ``kernel_spans()``.
     """
 
     def __init__(self) -> None:
         self._phases: Dict[str, Phase] = {p: Phase() for p in PHASES}
-        self.events: List[Tuple[str, str, float]] = []
 
     def _phase(self, phase: str) -> Phase:
         try:
@@ -59,7 +59,7 @@ class TimeLine:
                 f"unknown phase {phase!r}; expected one of {PHASES}"
             ) from None
 
-    def charge(self, phase: str, seconds: float, label: str = "") -> None:
+    def charge(self, phase: str, seconds: float) -> None:
         """Add ``seconds`` of modeled time to ``phase``."""
         # Inline check, not _phase(): this runs once per modeled charge.
         if phase not in self._phases:
@@ -70,7 +70,6 @@ class TimeLine:
                 f"charged time must be finite and non-negative, got "
                 f"{seconds}")
         self._phases[phase].add(seconds)
-        self.events.append((phase, label, seconds))
 
     def seconds(self, phase: str) -> float:
         """Accumulated seconds in one phase."""

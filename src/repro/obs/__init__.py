@@ -6,7 +6,9 @@ Layers (see ``docs/observability.md``):
   to the :class:`repro.gpu.trace.TimeLine` phase accounting, with
   per-phase counters (calls, FLOPs, bytes moved) and the device memory
   high-water mark; the hierarchical run → step → kernel span tree is
-  built from the log when it is read.
+  built from the log when it is read.  A
+  :class:`~repro.obs.spans.RecorderSink` keeps the recorders of the
+  most recent units of work (serve plans) and frees older ones.
 - :mod:`repro.obs.chrome` — Chrome trace-event export of a recorded
   run (loadable in Perfetto / ``chrome://tracing``).
 - :mod:`repro.obs.artifact` — the versioned ``BENCH_*.json`` series
@@ -16,7 +18,7 @@ Layers (see ``docs/observability.md``):
   perf-regression gate (``repro-bench obs diff``).
 """
 
-from .spans import PhaseCounter, Span, SpanRecorder
+from .spans import PhaseCounter, RecorderSink, Span, SpanRecorder
 from .chrome import (chrome_document, spans_to_chrome,
                      validate_chrome_trace, write_chrome_trace)
 from .artifact import (ARTIFACT_KIND, SCHEMA_VERSION, attach_series,
@@ -29,7 +31,7 @@ from .diff import (DEFAULT_FLOOR, DEFAULT_TOLERANCE, DiffEntry,
                    DiffResult, diff_artifacts, render_diff)
 
 __all__ = [
-    "Span", "PhaseCounter", "SpanRecorder",
+    "Span", "PhaseCounter", "SpanRecorder", "RecorderSink",
     "spans_to_chrome", "chrome_document", "write_chrome_trace",
     "validate_chrome_trace",
     "SCHEMA_VERSION", "ARTIFACT_KIND", "to_jsonable", "point",

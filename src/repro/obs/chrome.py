@@ -29,7 +29,7 @@ from typing import Dict, List, Union
 
 from ..errors import ConfigurationError
 from ..gpu.trace import PHASES
-from .spans import Span, SpanRecorder
+from .spans import RecorderSink, Span, SpanRecorder
 
 __all__ = ["spans_to_chrome", "chrome_document", "write_chrome_trace",
            "validate_chrome_trace"]
@@ -60,11 +60,12 @@ def _stream_track(span: Span) -> tuple:
             f"gpu{span.device_id}")
 
 
-def spans_to_chrome(recorder: Union[SpanRecorder, List[Span]],
+def spans_to_chrome(recorder: Union[SpanRecorder, RecorderSink, List[Span]],
                     process_name: str = "simulated-gpu",
                     pid: int = 0) -> List[Dict]:
-    """Flatten a recorder's span tree into trace events."""
-    runs = recorder.spans() if isinstance(recorder, SpanRecorder) \
+    """Flatten a recorder's (or a sink's) span tree into trace events."""
+    runs = recorder.spans() \
+        if isinstance(recorder, (SpanRecorder, RecorderSink)) \
         else list(recorder)
     events: List[Dict] = [_meta(pid, _RUN_TID, "process_name", process_name),
                           _meta(pid, _RUN_TID, "thread_name", "run")]
@@ -120,7 +121,8 @@ def chrome_document(events: List[Dict]) -> Dict:
 
 
 def write_chrome_trace(path: str,
-                       recorder: Union[SpanRecorder, List[Span]],
+                       recorder: Union[SpanRecorder, RecorderSink,
+                                       List[Span]],
                        process_name: str = "simulated-gpu") -> Dict:
     """Export a recorder to ``path``; returns the written document."""
     events = spans_to_chrome(recorder, process_name=process_name)

@@ -32,6 +32,10 @@ is built from the log the first time something reads it
 them), and each later read converts only the entries logged since.  A
 run nobody reads, such as every point of the Figure 11-15 sweeps,
 builds no span at all.
+
+A long-lived caller keeps its memory bounded with a
+:class:`RecorderSink`: one recorder per unit of work, and only the
+most recent ones retained.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..errors import ConfigurationError
 from ..gpu.trace import PHASES
 
-__all__ = ["Span", "PhaseCounter", "SpanRecorder"]
+__all__ = ["Span", "PhaseCounter", "SpanRecorder", "RecorderSink"]
 
 SPAN_KINDS = ("run", "step", "kernel")
 
@@ -200,8 +204,11 @@ class SpanRecorder:
     whatever it missed.
     """
 
-    def __init__(self) -> None:
-        self.clock = 0.0
+    def __init__(self, clock: float = 0.0) -> None:
+        #: Modeled seconds: the end of the critical path so far.  A
+        #: recorder can start past 0 to continue another's timeline
+        #: (see :class:`RecorderSink`).
+        self.clock = clock
         self.counters: Dict[str, PhaseCounter] = {}
         self.peak_memory_bytes = 0
         #: Races mirrored from an attached stream-scheduler race checker
@@ -231,7 +238,7 @@ class SpanRecorder:
         self._runs: List[Span] = []
         self._run: Optional[Span] = None       # the last run, while open
         self._step: Optional[Span] = None      # its last step
-        self._read_clock = 0.0                 # clock after the last entry
+        self._read_clock = clock               # clock after the last entry
 
     @contextmanager
     def labelled(self, *labels: str):
@@ -445,3 +452,54 @@ class SpanRecorder:
         """Per-phase counters in the paper's legend order."""
         return {p: self.counters[p].to_dict()
                 for p in PHASES if p in self.counters}
+
+
+class RecorderSink:
+    """The recorders of the last ``keep`` units of work, and no more.
+
+    A long-lived caller (the serve layer, one recorder per batch plan)
+    gives each unit of work a fresh :class:`SpanRecorder`, so every
+    recorder has a single writer, and hands it here with :meth:`add`
+    once that work has returned or raised.  The sink keeps the last
+    ``keep`` recorders with their logs unbuilt and frees older ones,
+    so what it holds is set by ``keep``, not by how much work ran.
+
+    Reads take the forms a recorder's do — :attr:`runs`,
+    :meth:`spans`, :meth:`kernel_spans` and the Chrome export on top
+    of them — and build the trees of the retained recorders only.
+    :attr:`clock` is where the last recorder handed in stopped; a
+    recorder created as ``SpanRecorder(clock=sink.clock)`` lays its
+    runs out after that one's, so the retained runs sit on one modeled
+    timeline, as if one recorder had logged them all.
+    """
+
+    def __init__(self, keep: int) -> None:
+        if keep < 1:
+            raise ConfigurationError(f"keep must be >= 1, got {keep}")
+        self.clock = 0.0
+        self._recorders: Deque[SpanRecorder] = deque(maxlen=keep)
+
+    def add(self, recorder: SpanRecorder) -> None:
+        """Retain ``recorder``; the oldest one beyond ``keep`` is freed.
+
+        One thread adds, after the recorder's writer has finished.
+        """
+        self._recorders.append(recorder)
+        self.clock = recorder.clock
+
+    def _retained(self) -> Tuple[SpanRecorder, ...]:
+        # One C-level copy: a read racing add() sees a whole snapshot.
+        return tuple(self._recorders)
+
+    @property
+    def runs(self) -> List[Span]:
+        """The run spans of the retained recorders, oldest first."""
+        return self.spans()
+
+    def spans(self) -> List[Span]:
+        """The run spans of the retained recorders, oldest first."""
+        return [run for rec in self._retained() for run in rec.runs]
+
+    def kernel_spans(self) -> Iterator[Span]:
+        for rec in self._retained():
+            yield from rec.kernel_spans()

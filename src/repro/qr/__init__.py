@@ -18,11 +18,7 @@ on NumPy:
 
 from .utils import (
     orthogonality_defect,
-    is_orthonormal_columns,
-    is_orthonormal_rows,
-    triu_from,
     solve_upper_triangular,
-    solve_lower_triangular,
 )
 from .householder import (
     householder_vector,
@@ -44,11 +40,7 @@ from .tsqr import tsqr
 
 __all__ = [
     "orthogonality_defect",
-    "is_orthonormal_columns",
-    "is_orthonormal_rows",
-    "triu_from",
     "solve_upper_triangular",
-    "solve_lower_triangular",
     "householder_vector",
     "householder_qr",
     "apply_q",

@@ -55,11 +55,14 @@ def _shifted_chol_upper(g: np.ndarray,
     """Cholesky with an escalating diagonal shift.
 
     The shift follows Fukaya et al.'s shifted-CholQR recipe: start at
-    ``11 (m eps) ||G||_2``-scale and grow by 10x until POTRF succeeds.
-    The resulting Q is only approximately orthogonal and *must* be
-    reorthogonalized by the caller.
+    ``11 (m eps) ||G||``-scale and grow by 10x until POTRF succeeds.
+    The recipe accepts any bound on ``||G||_2``; for a Gram matrix,
+    ``trace(G) = ||B||_F^2 >= ||G||_2`` costs O(k) where the 2-norm
+    needs an SVD, and it is 0 exactly when ``G`` is.  The resulting Q
+    is only approximately orthogonal and *must* be reorthogonalized by
+    the caller.
     """
-    norm = backend.norm(g, ord=2)
+    norm = float(np.trace(g))
     if norm == 0.0:
         raise CholeskyBreakdownError("Gram matrix is zero")
     eps = np.finfo(g.dtype).eps

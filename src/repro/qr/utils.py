@@ -14,11 +14,7 @@ from ..errors import ShapeError
 
 __all__ = [
     "orthogonality_defect",
-    "is_orthonormal_columns",
-    "is_orthonormal_rows",
-    "triu_from",
     "solve_upper_triangular",
-    "solve_lower_triangular",
     "as_2d_float",
     "ensure_all_finite",
 ]
@@ -61,21 +57,6 @@ def orthogonality_defect(q: np.ndarray, rows: bool = False) -> float:
     return float(hostmath.norm(g - np.eye(k), ord="fro"))
 
 
-def is_orthonormal_columns(q: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when the columns of ``q`` are orthonormal to tolerance ``tol``."""
-    return orthogonality_defect(q, rows=False) <= tol * max(1, q.shape[1])
-
-
-def is_orthonormal_rows(q: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when the rows of ``q`` are orthonormal to tolerance ``tol``."""
-    return orthogonality_defect(q, rows=True) <= tol * max(1, q.shape[0])
-
-
-def triu_from(a: np.ndarray, k: int = 0) -> np.ndarray:
-    """Copy of the upper-triangular part of ``a`` (from diagonal ``k``)."""
-    return np.triu(as_2d_float(a), k=k)
-
-
 def solve_upper_triangular(r: np.ndarray, b: np.ndarray,
                            trans: bool = False,
                            backend: Optional[ComputeBackend] = None
@@ -90,15 +71,3 @@ def solve_upper_triangular(r: np.ndarray, b: np.ndarray,
         raise ShapeError(f"R must be square, got {r.shape}")
     return resolve_backend(backend).solve_triangular(
         r, b, lower=False, trans="T" if trans else "N")
-
-
-def solve_lower_triangular(l: np.ndarray, b: np.ndarray,
-                           trans: bool = False,
-                           backend: Optional[ComputeBackend] = None
-                           ) -> np.ndarray:
-    """Solve ``L x = b`` (or ``L^T x = b``) for lower-triangular ``L``."""
-    l = as_2d_float(l, "l")
-    if l.shape[0] != l.shape[1]:
-        raise ShapeError(f"L must be square, got {l.shape}")
-    return resolve_backend(backend).solve_triangular(
-        l, b, lower=True, trans="T" if trans else "N")

@@ -206,6 +206,12 @@ def run_jobs(plan: BatchPlan,
              ) -> Dict[str, Outcome]:
     """Execute one plan synchronously; map request id -> outcome.
 
+    ``recorder`` logs every kernel of the plan: each request's pipeline
+    under a run span named by its request id, and a coalesced plan's
+    shared draws and stacked GEMM under a run span named by its batch
+    id.  It is written from the calling thread only, so the service
+    passes a fresh one per plan; None records nothing.
+
     ``skip`` is consulted at the two cancellation points — before the
     stacked GEMM (request never enters the batch) and again before each
     request's Steps 2-3 (mid-batch cancellation: its Omega block rode

@@ -16,10 +16,11 @@ stage — queued, inside the window, and between the stacked GEMM and a
 request's own pipeline — and every shed or expired request is a typed
 :mod:`repro.errors` rejection plus a counter bump.
 
-The math itself is synchronous NumPy; one worker thread (the default)
-keeps the span recorder single-writer so the service can export one
-coherent Chrome trace across all requests, with per-request labels
-telling concurrent submissions apart.
+The math itself is synchronous NumPy.  Each plan records into its own
+:class:`repro.obs.spans.SpanRecorder`, so every recorder has one
+writer whatever :attr:`ServeConfig.workers` is; the service keeps the
+recorders of the last :data:`RECORDED_PLANS` plans and frees older
+ones, with per-request labels telling concurrent submissions apart.
 """
 
 from __future__ import annotations
@@ -34,13 +35,18 @@ from typing import Dict, List, Optional
 from ..errors import (ConfigurationError, DeadlineExceededError,
                       RequestCancelledError, ServeError,
                       ServiceClosedError)
-from ..obs.spans import SpanRecorder
+from ..obs.spans import RecorderSink, SpanRecorder
 from .admission import AdmissionController
 from .batcher import BatchPlan, plan_batches, run_jobs
 from .metrics import ServiceCounters
 from .request import DecompRequest, ResultArtifact
 
-__all__ = ["ServeConfig", "LowRankService"]
+__all__ = ["ServeConfig", "LowRankService", "RECORDED_PLANS"]
+
+#: How many of the most recent plans' span recorders a service keeps
+#: readable through :attr:`LowRankService.recorder`; older ones are
+#: freed, so recording memory is bounded by this, not by uptime.
+RECORDED_PLANS = 64
 
 
 @dataclass(frozen=True)
@@ -65,9 +71,7 @@ class ServeConfig:
     batching: bool = True
     #: Deadline for requests that carry none (None = unbounded).
     default_deadline_s: Optional[float] = None
-    #: Worker threads running the math.  Keep at 1 (the default) to
-    #: also record spans; recording is disabled for workers > 1 since
-    #: the recorder is single-writer.
+    #: Worker threads running the math.
     workers: int = 1
     #: Default compute backend for requests that name none.
     backend: Optional[str] = None
@@ -126,9 +130,12 @@ class LowRankService:
 
     ``submit`` resolves to a :class:`repro.serve.request.ResultArtifact`
     or raises the typed rejection (queue full, closed, deadline,
-    cancelled).  :attr:`counters` aggregates service metrics and
-    :attr:`recorder` logs every kernel the worker ran; its span tree is
-    built from that log when something reads it.
+    cancelled).  :attr:`counters` aggregates service metrics.
+    :attr:`recorder` is a :class:`repro.obs.spans.RecorderSink` holding
+    the kernel logs of the last :data:`RECORDED_PLANS` plans, one
+    recorder per plan; a plan's log lands there once the whole plan
+    has returned or raised, and its span tree is built when something
+    reads the sink.
     """
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
@@ -138,9 +145,8 @@ class LowRankService:
         self.admission = AdmissionController(
             self.config.max_queue_depth, counters=self.counters,
             default_deadline_s=self.config.default_deadline_s)
-        #: Span recorder shared by all requests (single worker only).
-        self.recorder: Optional[SpanRecorder] = (
-            SpanRecorder() if self.config.workers == 1 else None)
+        #: The span recorders of the most recent plans.
+        self.recorder = RecorderSink(RECORDED_PLANS)
         # Depth is already capped upstream: AdmissionController rejects
         # beyond max_queue_depth before anything reaches this queue.
         self._queue: "asyncio.Queue" = asyncio.Queue()  # repro: noqa RS125
@@ -328,6 +334,9 @@ class LowRankService:
                         jobs_by_id: Dict[str, _Job]) -> None:
         loop = asyncio.get_running_loop()
         noted_batches: set = set()
+        # The plan's own recorder, continuing the previous plan's
+        # modeled clock: plans run one at a time.
+        recorder = SpanRecorder(clock=self.recorder.clock)
 
         def on_result(request_id: str, outcome,
                       batch: Optional[Dict]) -> None:
@@ -341,7 +350,7 @@ class LowRankService:
         try:
             results = await loop.run_in_executor(
                 self._pool,
-                lambda: run_jobs(plan, recorder=self.recorder,
+                lambda: run_jobs(plan, recorder=recorder,
                                  default_backend=self.config.backend,
                                  skip=self._skip_verdict(jobs_by_id),
                                  on_result=on_result))
@@ -351,6 +360,7 @@ class LowRankService:
             # of each rider still waiting, and the loop keeps serving.
             results = dict.fromkeys(
                 (req.request_id for req in plan.requests), exc)
+        self.recorder.add(recorder)
         # Safety net: anything the callbacks missed resolves here.
         for req in plan.requests:
             job = jobs_by_id[req.request_id]
@@ -366,8 +376,7 @@ class LowRankService:
                 break
             jobs = await self._collect_window(job)
             self.counters.note_depth(self._depth())
-            # One window on the worker at a time keeps plans FIFO and
-            # the span recorder single-writer.
+            # One window on the worker at a time keeps plans FIFO.
             if running is not None:
                 await running
             self._held = []

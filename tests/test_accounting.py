@@ -467,7 +467,7 @@ class TestNonFiniteCharges:
         tl = TimeLine()
         with pytest.raises(ConfigurationError, match="finite"):
             tl.charge("qr", bad)
-        assert tl.total == 0.0 and tl.events == []
+        assert tl.total == 0.0 and tl.stats() == {}
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_simulated_gpu_charge(self, bad):

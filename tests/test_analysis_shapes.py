@@ -29,6 +29,7 @@ from repro.analysis.findings import EXIT_CLEAN, EXIT_FINDINGS
 from repro.analysis.sarif import render_sarif, to_sarif, validate_sarif
 from repro.errors import ShapeError
 from repro.gpu.device import GPUExecutor, SymArray
+from repro.obs.spans import SpanRecorder
 from repro.perfmodel import costs
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -59,44 +60,51 @@ def rules_of(findings):
 # Charged primitives: kernel dims follow transposes, slices and stacks
 # ---------------------------------------------------------------------------
 
-def _last_charge(ex):
-    phase, label, _seconds = ex.timeline.events[-1]
-    return phase, label
+def _recorded():
+    """A simulated executor, and a recorder attached to read its
+    charges kernel by kernel."""
+    ex = GPUExecutor(seed=0)
+    rec = SpanRecorder()
+    ex.attach_recorder(rec)
+    return ex, rec
+
+
+def _charges(rec):
+    return [(s.phase, s.name) for s in rec.kernel_spans()]
 
 
 class TestShapePropagation:
     def test_transpose_swaps_axes(self):
         # C = B A^T with B (l x n), A (m x n): an l x m x n GEMM.
-        ex = GPUExecutor(seed=0)
+        ex, rec = _recorded()
         c = ex.iter_gemm_at(SymArray((8, 30)), SymArray((500, 30)))
         assert c.shape == (8, 500)
-        assert _last_charge(ex) == ("gemm_iter", "gemm 8x500x30")
+        assert _charges(rec)[-1] == ("gemm_iter", "gemm 8x500x30")
 
     def test_transpose_mismatch_is_flagged(self):
         # Forgetting the transpose cannot be billed: the contraction
         # dims disagree, so the primitive refuses before charging.
-        ex = GPUExecutor(seed=0)
+        ex, rec = _recorded()
         b = SymArray((8, 30))
         with pytest.raises(ShapeError, match="matmul mismatch"):
             ex.gemm(b, b)
-        assert ex.timeline.events == []
+        assert _charges(rec) == []
 
     def test_head_slice_rows(self):
-        ex = GPUExecutor(seed=0)
+        ex, rec = _recorded()
         out = ex.gemm(SymArray((8, 30))[:3], SymArray((30, 5)))
         assert out.shape == (3, 5)
-        assert _last_charge(ex) == ("other", "gemm 3x5x30")
+        assert _charges(rec)[-1] == ("other", "gemm 3x5x30")
 
     def test_stacked_sum_of_rider_rows_is_clean(self):
         # The coalesced batch charge: ONE (sum l_i) x n GEMM for the
         # whole rider list (the repro.serve batcher's sum-l case).
-        ex = GPUExecutor(seed=0)
+        ex, rec = _recorded()
         a = SymArray((40, 9))
         blocks = ex.sample_gemm_stacked([SymArray((5, 40)),
                                          SymArray((7, 40))], a)
         assert [b.shape for b in blocks] == [(5, 9), (7, 9)]
-        assert [e[:2] for e in ex.timeline.events] \
-            == [("sampling", "gemm 12x9x40")]
+        assert _charges(rec) == [("sampling", "gemm 12x9x40")]
 
 
 # ---------------------------------------------------------------------------

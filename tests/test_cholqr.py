@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backends.numpy_backend import NumpyBackend
 from repro.errors import CholeskyBreakdownError, ShapeError
 from repro.matrices.synthetic import exponent_spectrum, spectrum_matrix
 from repro.qr.cholqr import (cholqr2_columns, cholqr2_rows, cholqr_columns,
@@ -66,6 +67,52 @@ class TestCholQRColumns:
         q, r = cholqr_columns(a, fallback="shift")
         assert_orthonormal_columns(q, tol=1e-5)
         np.testing.assert_allclose(q @ r, a, atol=1e-8)
+
+
+class TestShiftScale:
+    """The shifted retry scales its shift by ``trace(G)``, not by an
+    SVD-computed ``||G||_2``."""
+
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_shift_runs_no_svd(self, monkeypatch, rows):
+        # kappa ~ 1e12: POTRF breaks down on the Gram matrix, so the
+        # shifted retry must run (counted below).
+        import repro.qr.cholqr as cholqr_mod
+        shifted = []
+        real_shift = cholqr_mod._shifted_chol_upper
+
+        def counting_shift(g, backend):
+            shifted.append(g.shape)
+            return real_shift(g, backend)
+
+        monkeypatch.setattr(cholqr_mod, "_shifted_chol_upper",
+                            counting_shift)
+        bk = NumpyBackend()
+        spectral = []
+        for name in ("svd", "norm"):
+            def counted(*args, _real=getattr(bk, name), _name=name,
+                        **kwargs):
+                spectral.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(bk, name, counted)
+        sigma = 10.0 ** (-np.linspace(0, 12, 40))
+        if rows:
+            b = spectrum_matrix(40, 300, sigma, seed=3)
+            q, r = cholqr_rows(b, fallback="shift", backend=bk)
+            assert_orthonormal_rows(q, tol=1e-5)
+            np.testing.assert_allclose(r.T @ q, b, atol=1e-8)
+        else:
+            a = spectrum_matrix(300, 40, sigma, seed=3)
+            q, r = cholqr_columns(a, fallback="shift", backend=bk)
+            assert_orthonormal_columns(q, tol=1e-5)
+            np.testing.assert_allclose(q @ r, a, atol=1e-8)
+        assert shifted == [(40, 40)]
+        assert spectral == []
+
+    def test_zero_gram_still_raises(self):
+        with pytest.raises(CholeskyBreakdownError,
+                           match="Gram matrix is zero"):
+            cholqr_columns(np.zeros((30, 4)), fallback="shift")
 
 
 class TestCholQRRows:

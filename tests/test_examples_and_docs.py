@@ -101,6 +101,39 @@ class TestDocsConsistency:
         assert len(checked) > 30, checked
         assert not missing, f"README module map names: {missing}"
 
+    def test_backticked_repro_names_resolve(self):
+        """Every dotted ``repro.<...>`` name inside backticks in the
+        README and ``docs/*.md`` imports and resolves by ``getattr``,
+        so a deleted or renamed name cannot linger in the docs."""
+        placeholders = {"repro.bench.figures.figNN_"}
+        files = [DOCS / "README.md"] + sorted((DOCS / "docs").glob("*.md"))
+        names = {}
+        for path in files:
+            for span in re.findall(r"`([^`\n]+)`", path.read_text()):
+                for name in re.findall(
+                        r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+", span):
+                    names.setdefault(name, path.name)
+        assert len(names) > 30, sorted(names)
+
+        def resolves(name):
+            parts = name.split(".")
+            for cut in range(len(parts), 0, -1):
+                try:
+                    obj = importlib.import_module(".".join(parts[:cut]))
+                except ImportError:
+                    continue
+                try:
+                    for attr in parts[cut:]:
+                        obj = getattr(obj, attr)
+                except AttributeError:
+                    return False
+                return True
+            return False
+
+        stale = sorted(f"{name} ({where})" for name, where in names.items()
+                       if name not in placeholders and not resolves(name))
+        assert not stale, f"docs name missing objects: {stale}"
+
     def test_calibration_doc_constants_match(self):
         from repro.gpu.specs import KEPLER_K40C
         calib = (DOCS / "docs" / "calibration.md").read_text()

@@ -28,7 +28,8 @@ from repro.serve import (AdmissionController, BatchPlan, DecompRequest,
                          ServeConfig, ServiceCounters, percentile,
                          plan_batches, run_jobs)
 from repro.obs.spans import SpanRecorder
-from repro.serve.service import _Job
+import repro.serve.service as service_mod
+from repro.serve.service import RECORDED_PLANS, _Job
 
 REF = MatrixRef(name="power", m=400, n=96, seed=3)
 
@@ -630,8 +631,15 @@ class TestSpanLabels:
         assert kernels[2].labels == ()
 
     def test_no_span_interleaving_under_concurrent_submits(self):
+        self._check_no_interleaving(workers=1)
+
+    def test_no_span_interleaving_at_two_workers(self):
+        self._check_no_interleaving(workers=2)
+
+    def _check_no_interleaving(self, workers):
         async def drive():
-            cfg = ServeConfig(batch_window_s=0.05, max_batch=8)
+            cfg = ServeConfig(batch_window_s=0.05, max_batch=8,
+                              workers=workers)
             async with LowRankService(cfg) as svc:
                 reqs = [req(rank=8 + i, seed=50 + i) for i in range(5)]
                 await asyncio.gather(*(svc.submit(r) for r in reqs))
@@ -660,6 +668,29 @@ class TestSpanLabels:
                  if s.kind == "kernel" and s.phase == "prng"]
         assert sorted(s.labels[0] for s in prngs) == sorted(ids)
 
+    def test_chrome_export_of_the_sink(self):
+        # Plans record into separate recorders, each starting where the
+        # previous plan's clock stopped: the retained runs sit end to
+        # end on one modeled timeline, and the sink exports as one
+        # trace.
+        async def drive():
+            cfg = ServeConfig(batch_window_s=0.0, workers=2)
+            async with LowRankService(cfg) as svc:
+                for i in range(3):
+                    await svc.submit(req(rank=8 + i, seed=70 + i))
+                await asyncio.gather(*(svc.submit(req(rank=8, seed=80 + i))
+                                       for i in range(3)))
+                return svc
+        svc = asyncio.run(drive())
+        runs = svc.recorder.spans()
+        assert len(runs) >= 6
+        for prev, run in zip(runs, runs[1:]):
+            assert run.start >= prev.end > prev.start
+        events = spans_to_chrome(svc.recorder)
+        validate_chrome_trace(events)
+        assert {e["name"] for e in events if e["ph"] == "X"} \
+            >= {r.name for r in runs}
+
     def test_chrome_export_carries_labels(self):
         rec = SpanRecorder()
         with rec.labelled("req-x"), rec.run_span("req-x"):
@@ -675,33 +706,56 @@ class TestSpanLabels:
 # ----------------------------------------------------------------------
 # recorder memory of a long-lived service
 # ----------------------------------------------------------------------
+def _spans_growth(count, workers=1):
+    """Serve ``count`` fixed-rank requests one at a time (one plan
+    each) after a warm-up request; return the service, the served
+    request ids and the tracemalloc growth charged to
+    ``repro/obs/spans.py`` over them."""
+    ref = MatrixRef(name="power", m=600, n=120, seed=1)
+
+    async def drive():
+        cfg = ServeConfig(batch_window_s=0.0, workers=workers)
+        async with LowRankService(cfg) as svc:
+            await svc.submit(DecompRequest(matrix=ref, rank=10))
+            served = []
+            tracemalloc.start()
+            try:
+                before = tracemalloc.take_snapshot()
+                for i in range(count):
+                    art = await svc.submit(DecompRequest(matrix=ref, rank=10,
+                                                         seed=i))
+                    served.append(art.request_id)
+                after = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+            return svc, served, before, after
+
+    svc, served, before, after = asyncio.run(drive())
+    only = [tracemalloc.Filter(True, "*repro/obs/spans.py")]
+    growth = sum(d.size_diff for d in after.filter_traces(only)
+                 .compare_to(before.filter_traces(only), "filename"))
+    return svc, served, growth
+
+
 class TestRecorderMemory:
     def test_recorder_growth_per_request(self):
-        # The service never drains its recorder, so it grows with every
-        # request.  Its kernel log holds one tuple per charge and builds
-        # no span until the recorder is read; this bounds the growth
-        # rate, not the total.
-        ref = MatrixRef(name="power", m=600, n=120, seed=1)
+        # Each plan records into its own recorder, and the service keeps
+        # only the last RECORDED_PLANS of them, unbuilt.  At one request
+        # per plan, 201 requests overflow the sink.
         count = 200
-
-        async def drive():
-            cfg = ServeConfig(batch_window_s=0.0)
-            async with LowRankService(cfg) as svc:
-                await svc.submit(DecompRequest(matrix=ref, rank=10))
-                tracemalloc.start()
-                try:
-                    before = tracemalloc.take_snapshot()
-                    for i in range(count):
-                        await svc.submit(DecompRequest(matrix=ref, rank=10,
-                                                       seed=i))
-                    after = tracemalloc.take_snapshot()
-                finally:
-                    tracemalloc.stop()
-                return svc, before, after
-
-        svc, before, after = asyncio.run(drive())
-        only = [tracemalloc.Filter(True, "*repro/obs/spans.py")]
-        growth = sum(d.size_diff for d in after.filter_traces(only)
-                     .compare_to(before.filter_traces(only), "filename"))
+        svc, _, growth = _spans_growth(count)
         assert 0 < growth / count <= 2500
-        assert len(svc.recorder.runs) == count + 1
+        assert len(svc.recorder.runs) == RECORDED_PLANS
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_growth_is_set_by_the_bound(self, monkeypatch, workers):
+        # 25 times the (shrunk) bound of requests, one plan each: the
+        # recorders held must be the last `keep` plans', whatever the
+        # request count.  A recorder that kept every plan grew about
+        # 1.3 KB per request, 130 KB here.
+        keep, count = 4, 100
+        monkeypatch.setattr(service_mod, "RECORDED_PLANS", keep)
+        svc, served, growth = _spans_growth(count, workers=workers)
+        assert 0 < growth <= keep * 5000
+        # The sink holds the last `keep` plans, oldest first.
+        assert [r.name for r in svc.recorder.runs] == served[-keep:]

@@ -11,6 +11,7 @@ from repro.gpu.cluster import ClusterExecutor, NetworkSpec
 from repro.gpu.device import GPUExecutor, SymArray
 from repro.gpu.kernels import KernelModel
 from repro.gpu.multigpu import MultiGPUExecutor
+from repro.obs.spans import SpanRecorder
 
 M, N, K = 120_000, 2_000, 30
 
@@ -21,29 +22,35 @@ def _run(ex, q=1, m=M, n=N, k=K):
     return random_sampling(SymArray((m, n)), cfg, executor=ex)
 
 
+def _charges(ex, q=1):
+    """``(phase, label)`` of every accounted charge of one run, in
+    order (mirror spans of symmetric work on other devices excluded)."""
+    rec = SpanRecorder()
+    ex.attach_recorder(rec)
+    _run(ex, q=q)
+    return [(s.phase, s.name) for s in rec.kernel_spans() if s.accounted]
+
+
 class TestMultiGPUBranches:
     def test_local_gemm_shapes_in_labels(self):
-        ex = MultiGPUExecutor(ng=3, seed=0)
-        _run(ex)
         local = -(-M // 3)
-        labels = [e[1] for e in ex.timeline.events]
+        labels = [label for _, label in
+                  _charges(MultiGPUExecutor(ng=3, seed=0))]
         assert any(f"x{local}" in lab and "local" in lab
                    for lab in labels)
 
     def test_b_reduce_and_qr_comms_events(self):
-        ex = MultiGPUExecutor(ng=2, seed=0)
-        _run(ex)
-        comm_labels = [e[1] for e in ex.timeline.events
-                       if e[0] == "comms"]
+        comm_labels = [label for phase, label in
+                       _charges(MultiGPUExecutor(ng=2, seed=0))
+                       if phase == "comms"]
         assert any("reduce B" in lab for lab in comm_labels)
         assert any("h2d B" in lab for lab in comm_labels)
         assert any("cholqr" in lab for lab in comm_labels)
 
     def test_replicated_b_orth_on_cpu(self):
-        ex = MultiGPUExecutor(ng=2, seed=0)
-        _run(ex, q=1)
-        orth_labels = [e[1] for e in ex.timeline.events
-                       if e[0] == "orth_iter"]
+        orth_labels = [label for phase, label in
+                       _charges(MultiGPUExecutor(ng=2, seed=0), q=1)
+                       if phase == "orth_iter"]
         # B (width n) factored on the CPU; C (width m) via multi-GPU
         # CholQR.
         assert any("cpu-" in lab for lab in orth_labels)
@@ -77,15 +84,13 @@ class TestMultiGPUBranches:
 class TestClusterBranches:
     def test_network_events_only_multinode(self):
         single = ClusterExecutor(nodes=1, gpus_per_node=3, seed=0)
-        _run(single)
-        labels = [e[1] for e in single.timeline.events
-                  if e[0] == "comms"]
+        labels = [label for phase, label in _charges(single)
+                  if phase == "comms"]
         assert not any("allreduce" in lab for lab in labels)
 
         multi = ClusterExecutor(nodes=4, gpus_per_node=3, seed=0)
-        _run(multi)
-        labels = [e[1] for e in multi.timeline.events
-                  if e[0] == "comms"]
+        labels = [label for phase, label in _charges(multi)
+                  if phase == "comms"]
         assert any("allreduce" in lab for lab in labels)
 
     def test_network_spec_drives_comm_time(self):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.gpu.device import SimulatedGPU
 from repro.gpu.trace import PHASES, Phase, TimeLine
+from repro.obs.spans import SpanRecorder
 
 
 class TestPhase:
@@ -33,10 +35,13 @@ class TestTimeLine:
         assert t.calls("prng") == 2
 
     def test_events_logged_in_order(self):
-        t = TimeLine()
-        t.charge("prng", 0.01, label="a")
-        t.charge("qr", 0.02, label="b")
-        assert [e[1] for e in t.events] == ["a", "b"]
+        # Kernel by kernel, a run is read from an attached recorder.
+        gpu = SimulatedGPU()
+        rec = SpanRecorder()
+        gpu.attach_recorder(rec)
+        gpu.charge("prng", 0.01, "a")
+        gpu.charge("qr", 0.02, "b")
+        assert [s.name for s in rec.kernel_spans()] == ["a", "b"]
 
     def test_unknown_phase_raises(self):
         with pytest.raises(ConfigurationError):
