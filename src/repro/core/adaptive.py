@@ -37,10 +37,10 @@ import numpy as np
 from ..analysis.annotations import allow_untimed_math
 from ..backends import hostmath
 from ..config import AdaptiveConfig
-from ..errors import ConvergenceError, ShapeError
-from ..qr.utils import ensure_all_finite
+from ..errors import ConvergenceError
 from ..gpu.device import ArrayLike, NumpyExecutor, is_symbolic, shape_of
 from .power import power_iterate
+from .sampling import sample
 
 #: After the new block is orthonormalized, its unit rows are projected
 #: against the basis once more; rows whose norm collapses below this
@@ -190,6 +190,12 @@ def adaptive_sampling(a: ArrayLike, config: AdaptiveConfig,
         See :class:`repro.config.AdaptiveConfig`.
     executor:
         Execution backend (timed or plain); defaults to pure NumPy.
+    check_finite:
+        Reject NaN/Inf inputs with :class:`repro.errors.ShapeError`.
+        The first block's ``B = Omega A`` stands in for a scan of
+        ``A`` (see :func:`repro.core.sampling.sample`), so a passed-in
+        executor has already been charged for it when the error is
+        raised.
 
     Returns
     -------
@@ -206,37 +212,9 @@ def adaptive_sampling(a: ArrayLike, config: AdaptiveConfig,
     m, n = shape_of(a)
     ex = executor if executor is not None else NumpyExecutor(
         seed=config.seed, backend=config.backend)
-    symbolic = is_symbolic(a)
-    if not symbolic:
-        # Lines 2-3's block is drawn while A is checked and bound.
-        ex.draw_ahead(config.l_init, m)
-    if check_finite:
-        ensure_all_finite(a, "a")
     ex.bind(a)
     cap = config.max_subspace if config.max_subspace is not None \
         else min(m, n)
-    static = config.step_rule == "static"
-
-    def block_rows(inc: int, l: int) -> int:
-        """The step rule's increment at subspace size ``l``, shrunk so
-        the subspace never passes ``m`` rows and can land on the cap."""
-        inc = min(inc, max(1, m - l))
-        if l < cap:
-            # Never overshoot the cap: the last block is shrunk so the
-            # subspace can reach exactly `cap` (= full numerical rank
-            # when cap = min(m, n)) before the scheme gives up.
-            inc = min(inc, cap - l)
-        return inc
-
-    def sample_block(rows: int, l: int) -> ArrayLike:
-        """Line 13: ``B_+ = Omega A`` with a fresh ``rows x m`` Omega.
-        Under the static rule the next block's size is already known
-        (unless a DGKS drop shrinks this block's expansion), so its
-        Omega is drawn ahead while this block's GEMM runs."""
-        omega = ex.prng_gaussian(rows, m, symbolic=symbolic)
-        if static and not symbolic:
-            ex.draw_ahead(block_rows(config.l_inc, l + rows), m)
-        return ex.sample_gemm(omega, a)
 
     steps: List[AdaptiveStep] = []
     basis: Optional[ArrayLike] = None   # accepted B_{1:l}
@@ -245,10 +223,8 @@ def adaptive_sampling(a: ArrayLike, config: AdaptiveConfig,
     inc = config.l_init
     t0 = ex.seconds
 
-    # Line 2-3: initial pending block.
-    if inc > m:
-        raise ShapeError(f"sample size {inc} exceeds m = {m}")
-    pending = sample_block(inc, l)
+    # Line 2-3: initial pending block, whose product checks A.
+    pending = sample(ex, a, inc, check_finite=check_finite)
 
     while True:
         # --- expand the subspace with the pending block (lines 6-9) ----
@@ -285,8 +261,14 @@ def adaptive_sampling(a: ArrayLike, config: AdaptiveConfig,
         l += added
 
         # --- generate fresh vectors (lines 11-13) -----------------------
-        inc = block_rows(_next_increment(config, steps, inc), l)
-        pending = sample_block(inc, l)
+        inc = _next_increment(config, steps, inc)
+        inc = min(inc, max(1, m - l))
+        if l < cap:
+            # Never overshoot the cap: the last block is shrunk so the
+            # subspace can reach exactly `cap` (= full numerical rank
+            # when cap = min(m, n)) before the scheme gives up.
+            inc = min(inc, cap - l)
+        pending = sample(ex, a, inc)
 
         # --- error estimate (line 15) -----------------------------------
         eps = ex.estimate_error(pending, basis)

@@ -27,7 +27,6 @@ from ..analysis.annotations import allow_untimed_math
 from ..backends import hostmath
 from ..config import SamplingConfig
 from ..errors import NonFiniteResultError, SymbolicExecutionError
-from ..qr.utils import ensure_all_finite
 from ..gpu.device import ArrayLike, NumpyExecutor, is_symbolic, shape_of
 from .power import power_iterate
 from .sampling import sample
@@ -92,11 +91,12 @@ def _core_factor(c: np.ndarray, a_np: np.ndarray,
     return u
 
 
-def _select_pivots(ex: NumpyExecutor, a: ArrayLike,
-                   config: SamplingConfig) -> np.ndarray:
+def _select_pivots(ex: NumpyExecutor, a: ArrayLike, config: SamplingConfig,
+                   check_finite: bool = False) -> np.ndarray:
     """Steps 1-2 of Figure 2b: the first ``k`` QRCP pivots of the
     sampled matrix."""
-    b = sample(ex, a, config.sample_size, kind=config.sampler)
+    b = sample(ex, a, config.sample_size, kind=config.sampler,
+               check_finite=check_finite)
     b, _ = power_iterate(ex, a, b, q=config.power_iterations,
                          scheme=config.orth,
                          reorthogonalize=config.reorthogonalize)
@@ -127,8 +127,6 @@ def cur_decomposition(a: ArrayLike, config: SamplingConfig,
     m, n = shape_of(a)
     # The A^T pass samples l of the n rows.
     config.validate_for(m, n, within_n=True)
-    if check_finite:
-        ensure_all_finite(a, "a")
     if is_symbolic(a):
         raise SymbolicExecutionError(
             "cur_decomposition needs numerical data")
@@ -136,7 +134,8 @@ def cur_decomposition(a: ArrayLike, config: SamplingConfig,
         seed=config.seed, backend=config.backend)
     ex.bind(a)
 
-    cols = _select_pivots(ex, a, config)
+    # The column pass's Step 1 checks A for NaN/Inf (see sample()).
+    cols = _select_pivots(ex, a, config, check_finite=check_finite)
     # Row selection: the same algorithm on A^T (its "columns" are rows
     # of A).  The transpose view never copies for a NumPy input.
     rows = _select_pivots(ex, np.asarray(a).T, config)

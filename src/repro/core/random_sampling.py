@@ -55,7 +55,12 @@ def random_sampling(a: ArrayLike, config: SamplingConfig,
         Execution backend.  Defaults to a fresh pure-NumPy executor
         seeded from ``config.seed``.
     check_finite:
-        Reject NaN/Inf inputs up front (disable on hot paths).
+        Reject NaN/Inf inputs with :class:`repro.errors.ShapeError`
+        (disable on hot paths).  The Gaussian sampler's ``B = Omega A``
+        stands in for a scan of ``A``, so a passed-in executor has
+        already been charged for Step 1 when the error is raised; the
+        FFT sampler and a ``presampled`` B scan ``A`` up front (see
+        :func:`repro.core.sampling.sample`).
     presampled:
         An externally computed ``l x n`` sampled matrix ``B`` replacing
         Step 1's draw-and-GEMM.  This is the continuous-batching hook:
@@ -83,7 +88,8 @@ def random_sampling(a: ArrayLike, config: SamplingConfig,
     """
     m, n = shape_of(a)
     config.validate_for(m, n)
-    if check_finite:
+    if check_finite and presampled is not None:
+        # A B computed elsewhere witnesses nothing about this A.
         ensure_all_finite(a, "a")
     ex = executor if executor is not None else NumpyExecutor(
         seed=config.seed, backend=config.backend)
@@ -103,7 +109,8 @@ def random_sampling(a: ArrayLike, config: SamplingConfig,
                 f"l x n = {l} x {n}")
         b = presampled
     else:
-        b = sample(ex, a, l, kind=config.sampler)
+        b = sample(ex, a, l, kind=config.sampler,
+                   check_finite=check_finite)
     b, _ = power_iterate(ex, a, b, q=config.power_iterations,
                          scheme=config.orth,
                          reorthogonalize=config.reorthogonalize)

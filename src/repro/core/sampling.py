@@ -26,13 +26,14 @@ import numpy as np
 
 from ..analysis.annotations import allow_untimed_math
 from ..errors import ConfigurationError, ShapeError
-from ..gpu.device import ArrayLike, NumpyExecutor, shape_of
+from ..gpu.device import ArrayLike, NumpyExecutor, is_symbolic, shape_of
+from ..qr.utils import ensure_all_finite
 
 __all__ = ["sample", "full_gaussian_sample"]
 
 
 def sample(ex: NumpyExecutor, a: ArrayLike, l: int,
-           kind: str = "gaussian") -> ArrayLike:
+           kind: str = "gaussian", check_finite: bool = False) -> ArrayLike:
     """Draw the ``l x n`` sampled matrix ``B`` from ``A`` (Step 1).
 
     Parameters
@@ -45,6 +46,11 @@ def sample(ex: NumpyExecutor, a: ArrayLike, l: int,
         Total sampling dimension ``k + p``.
     kind:
         ``"gaussian"`` (pruned) or ``"fft"`` (full, row sampling).
+    check_finite:
+        Raise :class:`repro.errors.ShapeError` when ``A`` has a NaN or
+        infinite entry.  The FFT sampler scans ``A`` before the
+        transform.  The Gaussian sampler lets ``B = Omega A`` witness
+        ``A`` and scans ``A`` only when ``B`` is not finite.
     """
     m, n = shape_of(a)
     if l < 1:
@@ -52,10 +58,20 @@ def sample(ex: NumpyExecutor, a: ArrayLike, l: int,
     if l > m:
         raise ShapeError(f"sample size {l} exceeds m = {m}")
     if kind == "gaussian":
-        from ..gpu.device import is_symbolic
-        omega = ex.prng_gaussian(l, m, symbolic=is_symbolic(a))
-        return ex.sample_gemm(omega, a)
+        symbolic = is_symbolic(a)
+        omega = ex.prng_gaussian(l, m, symbolic=symbolic)
+        b = ex.sample_gemm(omega, a)
+        if check_finite and not symbolic and not np.isfinite(b).all():
+            # Exact, not probabilistic: a NaN or infinity in column j of
+            # A makes all of column j of B non-finite whatever Omega is
+            # (0 * inf is NaN; a non-finite term keeps a sum
+            # non-finite), so a finite B proves a finite A.  A huge but
+            # finite A can overflow B too: the scan tells the two apart.
+            ensure_all_finite(a, "a")
+        return b
     if kind == "fft":
+        if check_finite:
+            ensure_all_finite(a, "a")
         return ex.fft_sample(a, l, axis="row")
     raise ConfigurationError(f"unknown sampler kind {kind!r}")
 

@@ -31,7 +31,6 @@ from ..analysis.annotations import allow_untimed_math
 from ..backends import hostmath
 from ..config import SamplingConfig
 from ..errors import ShapeError, SymbolicExecutionError
-from ..qr.utils import ensure_all_finite
 from ..gpu.device import ArrayLike, NumpyExecutor, is_symbolic, shape_of
 from .power import power_iterate
 from .sampling import sample
@@ -98,8 +97,6 @@ def randomized_svd(a: ArrayLike, config: SamplingConfig,
     m, n = shape_of(a)
     # Stage A always orthonormalizes the l x n sample's rows.
     config.validate_for(m, n, within_n=True)
-    if check_finite:
-        ensure_all_finite(a, "a")
     if is_symbolic(a):
         raise SymbolicExecutionError(
             "randomized_svd needs numerical data (the small SVD is "
@@ -110,7 +107,7 @@ def randomized_svd(a: ArrayLike, config: SamplingConfig,
     l, k = config.sample_size, config.rank
 
     # Stage A: sampled row-space basis.
-    b = sample(ex, a, l, kind=config.sampler)
+    b = sample(ex, a, l, kind=config.sampler, check_finite=check_finite)
     b, _ = power_iterate(ex, a, b, q=config.power_iterations,
                          scheme=config.orth,
                          reorthogonalize=config.reorthogonalize)

@@ -235,7 +235,7 @@ class MultiGPUExecutor(GPUExecutor):
                          writes=["Omega"])
         if symbolic:
             return SymArray((rows, cols))
-        return self._omega(rows, cols)
+        return self.backend.standard_normal(self.rng, (rows, cols))
 
     @residency(returns="host")
     def sample_gemm(self, omega: ArrayLike, a: ArrayLike) -> ArrayLike:

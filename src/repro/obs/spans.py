@@ -44,6 +44,7 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from math import inf
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -232,7 +233,7 @@ class SpanRecorder:
         # -- writer side: the open run's start marker, and the log of
         # entries not yet converted into spans.
         self._open: Optional[tuple] = None
-        self._log: Deque[tuple] = deque()
+        self._log: List[tuple] = []
         # -- reader side: the tree, and where conversion stopped.
         self._read_lock = threading.Lock()
         self._runs: List[Span] = []
@@ -394,18 +395,19 @@ class SpanRecorder:
     def _build(self) -> List[Span]:
         """Convert the entries logged since the last read into spans.
 
-        The reader pops as many entries as the log holds when it starts,
-        so whatever the writer appends meanwhile waits for the next
-        read, and each entry is freed as soon as its span exists.  A
-        still-open run and its last step get a duration up to the clock
-        of the last converted entry (the current clock, when no write is
-        in flight).
+        The reader converts as many entries as the log holds when it
+        starts, then deletes them from the front of the list, so
+        whatever the writer appends meanwhile waits for the next read.
+        The writer only appends, so the entries it converts never move.
+        A still-open run and its last step get a duration up to the
+        clock of the last converted entry (the current clock, when no
+        write is in flight).
         """
         with self._read_lock:
             log = self._log
+            count = len(log)
             run, step, clock = self._run, self._step, self._read_clock
-            for _ in range(len(log)):
-                entry = log.popleft()
+            for entry in islice(log, count):
                 if len(entry) == _KERNEL_ENTRY:
                     (phase, name, start, seconds, flops, bytes_moved,
                      device_id, high_water, stream, accounted, context,
@@ -441,6 +443,7 @@ class SpanRecorder:
                         step.duration = end - step.start
                     run.duration = end - run.start
                     run = step = None
+            del log[:count]
             if run is not None:
                 if step is not None:
                     step.duration = clock - step.start

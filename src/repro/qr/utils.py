@@ -25,9 +25,11 @@ def ensure_all_finite(a, name: str = "a") -> None:
     infinity.
 
     NaNs poison GEMMs silently and infinities break the Cholesky-based
-    kernels with obscure errors, so the public entry points check up
-    front (disable via their ``check_finite=False`` for hot paths, as
-    in SciPy).  Symbolic arrays are skipped (no data to check).
+    kernels with obscure errors, so the public entry points check their
+    input (disable via their ``check_finite=False`` for hot paths, as
+    in SciPy; :func:`repro.core.sampling.sample` runs this scan only
+    when the Step-1 product is not finite).  Symbolic arrays are
+    skipped (no data to check).
     """
     if not isinstance(a, np.ndarray):
         return

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.backends.base import ComputeBackend
 from repro.bench.harness import observed_fixed_rank, timed_fixed_rank
-import repro.gpu.device as device
 from repro.config import AdaptiveConfig, SamplingConfig
 from repro.core.adaptive import adaptive_sampling
 from repro.core.random_sampling import random_sampling
@@ -511,23 +510,21 @@ class TestNonFiniteCharges:
 class TestLazyRng:
     @pytest.fixture
     def make_rng_calls(self, monkeypatch):
-        """Seeds passed to ``make_rng``, plus ``"helper"`` for each
-        request for the Omega draw-ahead thread (forced available, as
-        tier-1 runs with BLAS unpinned)."""
+        """Seeds passed to ``make_rng``, plus ``"draw"`` for each
+        Gaussian block drawn from a generator."""
         calls = []
-        original = ComputeBackend.make_rng
-        helper_pool = device._helper_pool
+        make_rng = ComputeBackend.make_rng
+        standard_normal = ComputeBackend.standard_normal
 
         def counting(self, seed=None):
             calls.append(seed)
-            return original(self, seed)
+            return make_rng(self, seed)
 
-        def counting_helper():
-            calls.append("helper")
-            return helper_pool()
+        def counting_draw(self, rng, shape):
+            calls.append("draw")
+            return standard_normal(self, rng, shape)
         monkeypatch.setattr(ComputeBackend, "make_rng", counting)
-        monkeypatch.setattr(device, "_spare_core", lambda: True)
-        monkeypatch.setattr(device, "_helper_pool", counting_helper)
+        monkeypatch.setattr(ComputeBackend, "standard_normal", counting_draw)
         return calls
 
     @pytest.mark.parametrize("ng", [1, 3])
@@ -550,7 +547,7 @@ class TestLazyRng:
         assert make_rng_calls == []
         ex.prng_gaussian(4, 6)
         ex.prng_gaussian(4, 6)
-        assert make_rng_calls == [3]
+        assert make_rng_calls == [3, "draw", "draw"]
 
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_omega_is_the_seeded_pcg64_stream(self, seed):

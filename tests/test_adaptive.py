@@ -1,13 +1,21 @@
 """Tests for the adaptive-l fixed-accuracy scheme (repro.core.adaptive)."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.config import AdaptiveConfig
 from repro.core.adaptive import (AdaptiveResult, AdaptiveStep,
                                  _next_increment, adaptive_sampling)
 from repro.errors import ConvergenceError
 from repro.gpu.device import GPUExecutor, NumpyExecutor
+from repro.matrices.registry import get_matrix
 from repro.matrices.synthetic import exponent_matrix
 
 from tests.helpers import assert_orthonormal_rows
@@ -150,6 +158,75 @@ class TestTimedRuns:
                                  seed=12)
             return len(adaptive_sampling(a_exp, cfg).steps)
         assert steps(32) < steps(8)
+
+
+def _fingerprint(a, cfg, ex):
+    """Everything a run leaves behind: basis, step history, modeled
+    seconds and breakdown, and the executor's stream after the run."""
+    res = adaptive_sampling(a, cfg, executor=ex)
+    steps = [(s.subspace_size, s.increment, s.error_estimate, s.seconds,
+              s.estimator_rows) for s in res.steps]
+    return (np.asarray(res.basis).tobytes(), steps, res.converged,
+            ex.seconds, ex.timeline.breakdown(),
+            ex.rng.standard_normal(8).tobytes())
+
+
+# Adaptive and fixed-rank runs on real data, in a fresh interpreter with
+# BLAS on one thread: prints the thread count before and after.
+_THREAD_PROBE = """
+import threading
+import numpy as np
+from repro import (AdaptiveConfig, SamplingConfig, adaptive_sampling,
+                   random_sampling)
+from repro.matrices.synthetic import exponent_matrix
+a = exponent_matrix(600, 120, seed=0)
+before = threading.active_count()
+adaptive_sampling(a, AdaptiveConfig(tolerance=1e-8, l_init=8, l_inc=16,
+                                    seed=1))
+random_sampling(a, SamplingConfig(rank=20, seed=1))
+print(before, threading.active_count())
+"""
+
+
+class TestOnTheCallersThread:
+    def test_concurrent_runs_equal_their_solo_runs(self):
+        """More runs than cores, switching threads often: every run
+        still equals its solo result."""
+        a = get_matrix("power", m=500, n=120, seed=3)
+        cfg = AdaptiveConfig(tolerance=1e-6, l_init=8, l_inc=12, seed=11)
+        seeds = range(20, 26)
+        solo = {s: _fingerprint(a, cfg, NumpyExecutor(seed=s))
+                for s in seeds}
+        got = {}
+
+        def run(s):
+            got[s] = _fingerprint(a, cfg, NumpyExecutor(seed=s))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(s,))
+                       for s in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == solo
+
+    def test_runs_start_no_thread(self):
+        # BLAS on one thread leaves a core idle: a run must still do all
+        # of its work on the caller's thread.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, after = map(int, proc.stdout.split())
+        assert after == before
 
 
 class TestEstimateRank:

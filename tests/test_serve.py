@@ -741,10 +741,11 @@ class TestRecorderMemory:
     def test_recorder_growth_per_request(self):
         # Each plan records into its own recorder, and the service keeps
         # only the last RECORDED_PLANS of them, unbuilt.  At one request
-        # per plan, 201 requests overflow the sink.
+        # per plan, 201 requests overflow the sink.  Measured growth was
+        # 480-830 B per request with list logs, 670-1020 B with deques.
         count = 200
         svc, _, growth = _spans_growth(count)
-        assert 0 < growth / count <= 2500
+        assert 0 < growth / count <= 1500
         assert len(svc.recorder.runs) == RECORDED_PLANS
 
     @pytest.mark.parametrize("workers", [1, 2])

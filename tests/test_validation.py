@@ -1,12 +1,14 @@
 """Tests for input validation: the ``check_finite`` guards and device
 memory accounting on bind."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from repro import (AdaptiveConfig, GPUExecutor, SamplingConfig, SymArray,
-                   adaptive_sampling, cur_decomposition, random_sampling,
-                   randomized_svd)
+from repro import (AdaptiveConfig, GPUExecutor, NumpyExecutor,
+                   SamplingConfig, SymArray, adaptive_sampling,
+                   cur_decomposition, random_sampling, randomized_svd)
 from repro.errors import (CholeskyBreakdownError, NonFiniteResultError,
                           OutOfDeviceMemoryError, ReproError, ShapeError)
 from repro.qr.utils import ensure_all_finite
@@ -127,6 +129,113 @@ class TestExtremeScales:
         with pytest.raises(expected) as ei:
             run(rank20 * 1e-310)
         assert getattr(ei.value, "factor", None) != "gram"
+
+
+#: Every module that runs the entrywise scan, or ran it before the
+#: Step-1 product took its place on the Gaussian path.
+_SCANNING_MODULES = ("repro.core.sampling", "repro.core.random_sampling",
+                     "repro.core.adaptive", "repro.core.svd",
+                     "repro.core.cur")
+
+_NON_FINITE_MESSAGE = "^a contains NaN or infinite entries$"
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The arrays handed to ``ensure_all_finite``, from any module."""
+    seen = []
+
+    def counting(a, name="a"):
+        seen.append(a)
+        ensure_all_finite(a, name)
+    for name in _SCANNING_MODULES:
+        monkeypatch.setattr(importlib.import_module(name),
+                            "ensure_all_finite", counting, raising=False)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def unpivoted(rank20):
+    """A column of ``rank20`` that neither the fixed-rank run nor CUR
+    picks as a pivot."""
+    cfg = SamplingConfig(rank=20, oversampling=10, power_iterations=1,
+                         seed=1)
+    picked = set(random_sampling(rank20, cfg).perm[:20])
+    picked |= set(cur_decomposition(rank20, cfg).cols)
+    return min(set(range(rank20.shape[1])) - picked)
+
+
+class TestStepOneWitness:
+    """On the Gaussian path ``B = Omega A`` stands in for the entrywise
+    scan: a NaN or infinity in column j of A makes all of column j of B
+    non-finite, so A is scanned only when B is not finite."""
+
+    @pytest.mark.parametrize("entry", sorted(_entry_points()))
+    def test_finite_input_is_not_scanned(self, rank20, scans, entry):
+        _entry_points()[entry](rank20)
+        assert scans == []
+
+    @pytest.mark.parametrize("where", ["unpivoted column", "last row"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", sorted(_entry_points()))
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_entry_raises_shape_error(self, rank20, unpivoted,
+                                                 scans, entry, bad, where):
+        a = rank20.copy()
+        m, n = a.shape
+        a[(m // 2, unpivoted) if where == "unpivoted column"
+          else (m - 1, n - 1)] = bad
+        with pytest.raises(ShapeError, match=_NON_FINITE_MESSAGE):
+            _entry_points()[entry](a)
+        assert len(scans) == 1
+
+    @pytest.mark.parametrize("entry", sorted(_entry_points()))
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_overflowed_product_is_not_a_shape_error(self, rank20, unpivoted,
+                                                     scans, entry):
+        a = rank20.copy()
+        a[:, unpivoted] = 1e307
+        with pytest.raises(NonFiniteResultError) as ei:
+            _entry_points()[entry](a)
+        assert ei.value.factor == "gram"
+        # B overflowed, so A was scanned once, and passed.
+        assert len(scans) == 1
+
+    def test_error_is_raised_after_step_one(self, rank20):
+        a = rank20.copy()
+        a[-1, -1] = np.nan
+        ex = GPUExecutor(seed=1)
+        with pytest.raises(ShapeError, match=_NON_FINITE_MESSAGE):
+            random_sampling(a, SamplingConfig(rank=20, seed=1), executor=ex)
+        assert set(ex.timeline.stats()) == {"prng", "sampling"}
+
+    @pytest.mark.parametrize("run", [random_sampling, randomized_svd,
+                                     cur_decomposition])
+    def test_fft_sampler_scans_up_front(self, rank20, scans, run):
+        cfg = SamplingConfig(rank=20, oversampling=10, sampler="fft",
+                             seed=1)
+        run(rank20, cfg)
+        assert len(scans) == 1
+        a = rank20.copy()
+        a[-1, -1] = np.nan
+        ex = GPUExecutor(seed=1)
+        with pytest.raises(ShapeError, match=_NON_FINITE_MESSAGE):
+            run(a, cfg, executor=ex)
+        assert ex.seconds == 0.0
+
+    def test_presampled_b_scans_up_front(self, rank20, scans):
+        cfg = SamplingConfig(rank=20, oversampling=10, seed=1)
+        ex = NumpyExecutor(seed=1)
+        b = ex.sample_gemm(ex.prng_gaussian(30, 600), rank20)
+        random_sampling(rank20, cfg, presampled=b)
+        assert len(scans) == 1
+        a = rank20.copy()
+        a[-1, -1] = np.nan
+        ex = GPUExecutor(seed=1)
+        with pytest.raises(ShapeError, match=_NON_FINITE_MESSAGE):
+            random_sampling(a, cfg, executor=ex, presampled=b)
+        assert ex.seconds == 0.0
 
 
 class TestDeviceMemoryOnBind:
