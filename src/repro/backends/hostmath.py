@@ -25,7 +25,7 @@ import scipy.linalg.blas
 
 __all__ = [
     "LinAlgError", "norm", "norm2", "column_norms", "row_norms",
-    "svd", "svdvals", "qr", "qr_pivoted", "solve", "lstsq",
+    "svd", "svdvals", "qr", "qr_in_place", "qr_pivoted", "solve", "lstsq",
     "cholesky_upper", "solve_triangular", "fft",
 ]
 
@@ -68,6 +68,20 @@ def svdvals(a) -> np.ndarray:
 def qr(a) -> Tuple[np.ndarray, np.ndarray]:
     """Reduced QR factorization (LAPACK ``geqrf``/``orgqr``)."""
     return np.linalg.qr(a)
+
+
+def qr_in_place(a) -> Tuple[np.ndarray, np.ndarray]:
+    """Reduced QR that factors ``a`` in its own buffer (LAPACK
+    ``geqrf``/``orgqr``) and may overwrite it.
+
+    For a Fortran-ordered float64 ``a`` with at least as many rows as
+    columns, ``geqrf`` writes the reflectors over ``a`` and ``orgqr``
+    forms ``Q`` over them: the returned ``q`` *is* ``a``'s buffer, and
+    only the ``n x n`` ``r`` and LAPACK's workspace are new.  Any other
+    input is copied once first.  ``a`` is not checked for NaN/Inf.
+    """
+    return scipy.linalg.qr(a, mode="economic", overwrite_a=True,
+                           check_finite=False)
 
 
 def solve(a, b) -> np.ndarray:

@@ -121,7 +121,9 @@ class AdaptiveResult:
         """``||A - A B^T B||_2`` — the dashed "actual error" line of
         Figure 16."""
         b = np.asarray(self.basis)
-        resid = a - (a @ b.T) @ b
+        # The difference overwrites the projection it is taken from.
+        resid = (a @ b.T) @ b
+        np.subtract(a, resid, out=resid)
         err = hostmath.norm2(resid)
         if relative:
             na = hostmath.norm2(a)

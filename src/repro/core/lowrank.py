@@ -92,11 +92,24 @@ class LowRankFactors:
 
     @allow_untimed_math("host-side diagnostic (Figure 6 error norm)")
     def residual(self, a: np.ndarray, relative: bool = True) -> float:
-        """``||A P - Q R|| / ||A||`` — the Figure 6 error norm."""
+        """``||A P - Q R|| / ||A||`` — the Figure 6 error norm.
+
+        Same value, bit for bit, as :func:`spectral_error` on ``A P``
+        and ``Q R``, but ``Q R`` is subtracted in place from the ``A P``
+        copy the column gather makes: no third ``m x n`` array."""
         self._require_real()
-        return spectral_error(a[:, self.perm],
-                              np.asarray(self.q) @ np.asarray(self.r),
-                              relative=relative)
+        q, r = np.asarray(self.q), np.asarray(self.r)
+        resid = a[:, self.perm]
+        if resid.shape != (q.shape[0], r.shape[1]):
+            raise ShapeError(f"shape mismatch: {resid.shape} vs "
+                             f"{(q.shape[0], r.shape[1])}")
+        na = hostmath.norm2(resid) if relative else 0.0
+        resid = resid.astype(np.result_type(resid, q, r), copy=False)
+        resid -= q @ r
+        err = hostmath.norm2(resid)
+        if relative:
+            return err / na if na > 0 else err
+        return err
 
     def suboptimality(self, a: np.ndarray) -> float:
         """Ratio of the achieved error to the Eckart-Young optimum

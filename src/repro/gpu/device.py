@@ -563,11 +563,13 @@ class NumpyExecutor:
                         reorth: bool = True,
                         phase: str = "orth_iter") -> ArrayLike:
         """``BOrth``: orthogonalize the rows of ``v`` against the
-        orthonormal rows of ``q_prev``; returns the updated block."""
+        orthonormal rows of ``q_prev``; returns the updated block.
+
+        With no previous rows there is nothing to project out, and
+        ``v`` itself comes back: the callers hand the block straight to
+        :meth:`orth_rows`, which never writes its input."""
         if q_prev is None or shape_of(q_prev)[0] == 0:
-            if is_symbolic(v):
-                return SymArray(shape_of(v))
-            return np.array(v, copy=True)
+            return v
         lp = shape_of(q_prev)[0]
         lv, n = shape_of(v)
         self._t_block_orth(lp, lv, n, reorth, phase)

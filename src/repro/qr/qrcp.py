@@ -65,9 +65,12 @@ class QRCPResult:
 
     def residual(self, a: np.ndarray, relative: bool = True) -> float:
         """``||A P - Q R|| / ||A||`` (spectral norm), the paper's Fig. 6
-        error measure."""
-        ap = a[:, self.perm]
-        err = hostmath.norm2(ap - self.q @ self.r)
+        error measure.  ``Q R`` is subtracted in place from the ``A P``
+        copy the column gather makes."""
+        resid = a[:, self.perm].astype(
+            np.result_type(a, self.q, self.r), copy=False)
+        resid -= self.q @ self.r
+        err = hostmath.norm2(resid)
         if relative:
             na = hostmath.norm2(a)
             return err / na if na > 0 else err

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from repro import AdaptiveConfig, SamplingConfig, adaptive_sampling, \
+    random_sampling
+from repro.config import ORTH_SCHEMES
 from repro.errors import (ConfigurationError, ShapeError,
                           SymbolicExecutionError)
 from repro.gpu.device import (GPUExecutor, NumpyExecutor, SimulatedGPU,
                               SymArray, is_symbolic, shape_of)
+from repro.gpu.multigpu import MultiGPUExecutor
 from repro.gpu.specs import KEPLER_K40C
+from repro.matrices import exponent_matrix
 
 from tests.helpers import assert_orthonormal_columns, assert_orthonormal_rows
 
@@ -106,8 +111,8 @@ class TestNumpyExecutorMath:
     def test_block_orth_none_passthrough(self):
         v = self.rng.standard_normal((4, 50))
         w = self.ex.block_orth_rows(None, v)
-        np.testing.assert_array_equal(w, v)
-        assert w is not v
+        # Nothing to project out: the input block itself comes back.
+        assert w is v
 
     def test_qrcp_sampled(self):
         b = self.rng.standard_normal((12, 60))
@@ -184,6 +189,61 @@ def _gallery_sample(name, m=300, n=120, l=28):
     b, _ = power_iterate(ex, a, sample(ex, a, l, kind="gaussian"), q=1,
                          scheme="cholqr2", reorthogonalize=True)
     return b
+
+
+class TestBlockOrthWithoutBasis:
+    """With no previous rows, ``block_orth_rows`` returns its input, and
+    every caller hands that block to ``orth_rows``.  Sharing it is safe
+    because no orthogonalization kernel writes into its input."""
+
+    @pytest.mark.parametrize("scheme", ORTH_SCHEMES)
+    @pytest.mark.parametrize("dependent", [False, True])
+    def test_orth_rows_never_writes_its_input(self, scheme, dependent):
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((12, 200))
+        if dependent:
+            # Rows within 1e-9 of each other send cholqr and cholqr2 to
+            # their Householder fallback and mixed_cholqr to its shift.
+            b[6:] = b[:6] + 1e-9 * rng.standard_normal((6, 200))
+        kept = b.copy()
+        b.flags.writeable = False  # a write raises instead of passing
+        for ex in (NumpyExecutor(), GPUExecutor(seed=0)):
+            ex.orth_rows(b, scheme=scheme)
+            np.testing.assert_array_equal(b, kept)
+
+    @pytest.mark.parametrize("make", [
+        lambda: NumpyExecutor(seed=0), lambda: GPUExecutor(seed=0),
+        lambda: MultiGPUExecutor(2, seed=0)],
+        ids=["numpy", "gpu", "multigpu2"])
+    def test_runs_match_a_copying_passthrough(self, make, monkeypatch):
+        a = exponent_matrix(400, 120, seed=7)
+
+        def run():
+            f = random_sampling(a, SamplingConfig(rank=10, seed=3,
+                                                  power_iterations=2),
+                                executor=make())
+            r = adaptive_sampling(a, AdaptiveConfig(tolerance=1e-6, seed=3,
+                                                    power_iterations=1),
+                                  executor=make())
+            return [f.q, f.r, f.perm, f.seconds, r.basis, r.seconds,
+                    [s.error_estimate for s in r.steps]]
+
+        passthrough = run()
+        shared = NumpyExecutor.block_orth_rows
+        copies = []
+
+        def copying(self, q_prev, v, reorth=True, phase="orth_iter"):
+            w = shared(self, q_prev, v, reorth=reorth, phase=phase)
+            if w is not v:
+                return w
+            copies.append(v.shape)
+            return np.array(v, copy=True)
+
+        monkeypatch.setattr(NumpyExecutor, "block_orth_rows", copying)
+        copied = run()
+        assert copies  # both drivers took the no-basis branch
+        for got, want in zip(passthrough, copied):
+            np.testing.assert_array_equal(got, want, strict=True)
 
 
 class TestQRCPSampledGeqp3:

@@ -73,3 +73,45 @@ class TestLowRankFactors:
 
     def test_real_flag(self, rng):
         assert not self._factors(rng).symbolic
+
+
+class TestDiagnosticsInPlace:
+    """The Figure 6/16 error norms subtract into a buffer they already
+    own; the values keep the bits of the three-array formulas."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_residuals_match_three_array_formula(self, decaying_matrix,
+                                                 dtype):
+        from repro import SamplingConfig, random_sampling
+        from repro.backends import hostmath
+        from repro.qr.qrcp import qp3_blocked
+        a = decaying_matrix.astype(dtype)
+        kept = a.copy()
+        f = random_sampling(a, SamplingConfig(rank=20, seed=0))
+        qp3 = qp3_blocked(a, k=20)
+        for rel in (True, False):
+            assert f.residual(a, relative=rel) == spectral_error(
+                a[:, f.perm], f.q @ f.r, relative=rel)
+            err = hostmath.norm2(a[:, qp3.perm] - qp3.q @ qp3.r)
+            want = err / hostmath.norm2(a) if rel else err
+            assert qp3.residual(a, relative=rel) == want
+        np.testing.assert_array_equal(a, kept)
+
+    def test_residual_shape_mismatch_raises(self, rng):
+        f = TestLowRankFactors()._factors(rng)
+        with pytest.raises(ShapeError):
+            f.residual(np.zeros((7, f.perm.size)))
+
+    def test_actual_error_matches_three_array_formula(self,
+                                                      decaying_matrix):
+        from repro import AdaptiveConfig, adaptive_sampling
+        from repro.backends import hostmath
+        a = decaying_matrix
+        kept = a.copy()
+        res = adaptive_sampling(a, AdaptiveConfig(tolerance=1e-4, seed=0))
+        b = res.basis
+        err = hostmath.norm2(a - (a @ b.T) @ b)
+        assert res.actual_error(a) == err
+        assert res.actual_error(a, relative=True) == \
+            err / hostmath.norm2(a)
+        np.testing.assert_array_equal(a, kept)
