@@ -23,6 +23,8 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
 
+from ..errors import ShapeError
+
 __all__ = [
     "LinAlgError", "norm", "norm2", "column_norms", "row_norms",
     "svd", "svdvals", "qr", "qr_in_place", "qr_pivoted", "solve", "lstsq",
@@ -71,15 +73,23 @@ def qr(a) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def qr_in_place(a) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduced QR that factors ``a`` in its own buffer (LAPACK
-    ``geqrf``/``orgqr``) and may overwrite it.
+    """Reduced QR of a tall float64 ``a`` (LAPACK ``dgeqrf``/``dorgqr``)
+    that may overwrite ``a``.
 
-    For a Fortran-ordered float64 ``a`` with at least as many rows as
-    columns, ``geqrf`` writes the reflectors over ``a`` and ``orgqr``
-    forms ``Q`` over them: the returned ``q`` *is* ``a``'s buffer, and
-    only the ``n x n`` ``r`` and LAPACK's workspace are new.  Any other
-    input is copied once first.  ``a`` is not checked for NaN/Inf.
+    ``a`` must be a 2-D float64 array with at least as many rows as
+    columns; anything else raises :class:`repro.errors.ShapeError` (SciPy
+    would factor a float32 input in single precision, and a wide one
+    outside ``a``).
+    When ``a`` is Fortran-ordered, ``geqrf`` writes the reflectors over
+    it and ``orgqr`` forms ``Q`` over them: the returned ``q`` *is*
+    ``a``'s buffer, and only the ``n x n`` ``r`` and LAPACK's workspace
+    are new.  A C-ordered ``a`` is copied once into Fortran order
+    first.  ``a`` is not checked for NaN/Inf.
     """
+    a = np.asanyarray(a)
+    if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] < a.shape[1]:
+        raise ShapeError(f"qr_in_place needs a tall 2-D float64 array, "
+                         f"got {a.dtype} {a.shape}")
     return scipy.linalg.qr(a, mode="economic", overwrite_a=True,
                            check_finite=False)
 

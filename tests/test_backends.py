@@ -26,7 +26,7 @@ from repro.backends.base import BackendStats, ComputeBackend
 from repro.config import AdaptiveConfig, SamplingConfig
 from repro.core.random_sampling import random_sampling
 from repro.errors import (CholeskyBreakdownError, ConfigurationError,
-                          NonFiniteResultError)
+                          NonFiniteResultError, ShapeError)
 from repro.matrices.registry import get_matrix, list_matrices
 
 torch_missing = not TorchBackend.available()
@@ -161,6 +161,25 @@ class TestKernelContract:
         assert hostmath.norm2(a) == pytest.approx(np.linalg.norm(a, 2))
         np.testing.assert_allclose(hostmath.svdvals(a),
                                    np.linalg.svd(a, compute_uv=False))
+
+    def test_qr_in_place_factors_a_tall_fortran_buffer(self):
+        a = np.asfortranarray(np.random.default_rng(0).standard_normal(
+            (40, 7)))
+        want_r = np.linalg.qr(a)[1]
+        buf = a.copy(order="F")
+        q, r = hostmath.qr_in_place(buf)
+        assert np.shares_memory(q, buf)
+        np.testing.assert_allclose(q @ r, a, atol=1e-13)
+        np.testing.assert_allclose(np.abs(r), np.abs(want_r), atol=1e-13)
+
+    @pytest.mark.parametrize("bad", [
+        np.ones((40, 7), dtype=np.float32),   # single precision in SciPy
+        np.ones((7, 40)),                     # wide: Q is not a's buffer
+        np.ones(40),
+    ], ids=["float32", "wide", "vector"])
+    def test_qr_in_place_refuses_other_inputs(self, bad):
+        with pytest.raises(ShapeError, match="tall 2-D float64"):
+            hostmath.qr_in_place(bad)
 
 
 # ---------------------------------------------------------------------------

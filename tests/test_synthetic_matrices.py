@@ -282,6 +282,6 @@ class TestGenerationMemoryTool:
         assert float(row[2]) > 0 and float(row[5]) >= 0
 
     def test_ratio_over_the_bound_fails(self):
-        out = self._run("--name", "exponent", "--max-ratio", "0")
+        out = self._run("--max-ratio", "0")
         assert out.returncode == 1
         assert "exceeds" in out.stderr

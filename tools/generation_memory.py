@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Wall time and peak memory of generating one Table 1 matrix.
 
-Builds ``power`` (or ``exponent``) at the given shape in this process
-and prints, as a markdown table, the seconds generation took and
+Builds ``power`` (seed 0) at the given shape in this process and
+prints, as a markdown table, the seconds generation took and
 
     ratio = (peak RSS - RSS after import) / matrix bytes
 
@@ -14,8 +14,8 @@ generating exits non-zero with its traceback.
 Usage::
 
     PYTHONPATH=src python tools/generation_memory.py
-    PYTHONPATH=src python tools/generation_memory.py --name exponent \\
-        --m 20000 --n 500 --max-ratio 3.0
+    PYTHONPATH=src python tools/generation_memory.py --m 20000 \\
+        --max-ratio 3.0
 """
 
 from __future__ import annotations
@@ -35,27 +35,23 @@ def _status_kib(field: str) -> int:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--name", choices=("power", "exponent"),
-                    default="power")
     ap.add_argument("--m", type=int, default=100_000)
     ap.add_argument("--n", type=int, default=500)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max-ratio", type=float, default=None)
     args = ap.parse_args(argv)
 
-    from repro.matrices import synthetic
+    from repro.matrices.synthetic import power_matrix
 
-    build = getattr(synthetic, f"{args.name}_matrix")
     base = _status_kib("VmRSS")
     t0 = time.perf_counter()
-    a = build(args.m, args.n, seed=args.seed)
+    a = power_matrix(args.m, args.n, seed=0)
     seconds = time.perf_counter() - t0
     peak = _status_kib("VmHWM")
     ratio = (peak - base) * 1024 / a.nbytes
 
     print(f"| matrix | seconds | matrix MiB | peak above import MiB "
           f"| ratio |\n|---|---|---|---|---|\n"
-          f"| {args.name} {args.m}x{args.n} | {seconds:.2f} "
+          f"| power {args.m}x{args.n} | {seconds:.2f} "
           f"| {a.nbytes / 2**20:.0f} | {(peak - base) / 1024:.0f} "
           f"| {ratio:.2f} |")
     if args.max_ratio is not None and ratio > args.max_ratio:
