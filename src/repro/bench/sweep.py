@@ -101,7 +101,7 @@ def accuracy_point(params: Dict) -> float:
     from ..core.random_sampling import random_sampling
     from ..matrices.registry import get_matrix
     a = get_matrix(params["name"], m=params["m"], n=params["n"],
-                   seed=params.get("matrix_seed", 0))
+                   seed=params.get("matrix_seed", 0), readonly=True)
     cfg = SamplingConfig(rank=params["k"],
                          oversampling=params.get("p", 10),
                          power_iterations=params.get("q", 1),

@@ -5,22 +5,30 @@ Benches and tests request matrices by name (``"power"``, ``"exponent"``,
 also computes the Table 1 summary row (sigma_0, sigma_{k+1}, kappa) for
 a generated instance.
 
-Instances are memoized in a small per-process LRU keyed on
-``(name, m, n, seed)`` — sweep grids hit the same few matrices dozens
-of times and generation (a Haar-random orthogonal factor per side)
-dominates their host wall-clock.  Only integer seeds are cached (a
-Generator carries hidden state).  Tune with ``REPRO_MATRIX_CACHE``
-(entry count, 0 disables).
+Instances that callers share are memoized in a small per-process LRU
+keyed on ``(name, m, n, seed)`` — sweep grids hit the same few
+matrices dozens of times and generation (a Haar-random orthogonal
+factor per side) dominates their host wall-clock.  Only integer seeds
+are cached (a Generator carries hidden state).  Tune with
+``REPRO_MATRIX_CACHE`` (entry count, 0 disables).
 
-What a caller gets back depends on one keyword:
+Who owns the returned array depends on one keyword:
 
-- by default, a private writable copy, so callers can mutate freely
-  and a write never reaches the cache or another caller;
-- with ``readonly=True``, a read-only view of the cached entry itself,
-  shared by every such caller and free of the copy (15 MB for a
-  3000 x 640 matrix).  A write raises ``ValueError``.  When the cache
-  is disabled, the seed is a Generator, or the entry is over the size
-  cap, it is a freshly generated array, also read-only.
+- by default, the caller.  On a key the LRU does not hold, the freshly
+  generated array itself is returned and the LRU admits nothing, so the
+  process holds one copy of the matrix, the caller's.  On a key the LRU
+  holds, the caller gets a private copy.  Either way the array is
+  writable and a write never reaches the LRU or another caller.
+  Repeating a default call on a key nobody shares generates it again:
+  pass ``readonly=True`` to share.
+- with ``readonly=True``, the LRU.  The first call admits the entry,
+  and every such caller gets a read-only view of it, one shared buffer
+  and no copy (15 MB for a 3000 x 640 matrix).  A write raises
+  ``ValueError``.  When the cache is disabled, the seed is a Generator,
+  or the entry is over the size cap, it is a freshly generated array,
+  also read-only, that nothing else holds.
+
+So the LRU holds memory only for callers that share.
 """
 
 from __future__ import annotations
@@ -162,11 +170,18 @@ def get_matrix(name: str, m: Optional[int] = None, n: Optional[int] = None,
         interactive use).
     seed:
         PRNG seed; defaults to 0 for reproducible benches.  Integer
-        seeds hit the LRU cache; Generator instances always regenerate.
+        seeds can hit the LRU cache; Generator instances always
+        regenerate.
     readonly:
-        Return a read-only array instead of a private writable copy:
-        a view of the cached entry when there is one, so repeat callers
-        share one buffer and pay no copy.
+        Share the matrix instead of owning it: return a read-only view
+        of the LRU entry, admitted on the first such call, so repeat
+        callers share one buffer and pay no copy.
+
+    By default the caller owns a writable array: the generated matrix
+    itself when the LRU does not hold the key (nothing is admitted, so
+    no second copy stays behind), a private copy when it does.  A
+    caller that repeats a key and does not write should pass
+    ``readonly=True``; a repeated default call generates again.
     """
     try:
         spec = TABLE1_SPECS[name]
@@ -185,18 +200,19 @@ def get_matrix(name: str, m: Optional[int] = None, n: Optional[int] = None,
     if cached is not None:
         _CACHE.move_to_end(key)
         _CACHE_STATS["hits"] += 1
-    else:
-        _CACHE_STATS["misses"] += 1
-        a = spec.factory(mm, nn, seed)
-        if a.nbytes > _CACHE_MAX_ENTRY_BYTES:
-            return _uncached(a, readonly)
-        # Entries are frozen, and readers get a view: a view of a
-        # read-only base cannot be made writable again.
-        a.flags.writeable = False
-        cached = _CACHE[key] = a
-        while len(_CACHE) > capacity:
-            _CACHE.popitem(last=False)
-    return cached.view() if readonly else cached.copy()
+        return cached.view() if readonly else cached.copy()
+    _CACHE_STATS["misses"] += 1
+    a = spec.factory(mm, nn, seed)
+    # Only sharers are admitted: a writable caller owns the one buffer.
+    if not readonly or a.nbytes > _CACHE_MAX_ENTRY_BYTES:
+        return _uncached(a, readonly)
+    # Entries are frozen, and readers get a view: a view of a
+    # read-only base cannot be made writable again.
+    a.flags.writeable = False
+    _CACHE[key] = a
+    while len(_CACHE) > capacity:
+        _CACHE.popitem(last=False)
+    return a.view()
 
 
 def _uncached(a: np.ndarray, readonly: bool) -> np.ndarray:

@@ -192,7 +192,7 @@ class TestOnTheCallersThread:
     def test_concurrent_runs_equal_their_solo_runs(self):
         """More runs than cores, switching threads often: every run
         still equals its solo result."""
-        a = get_matrix("power", m=500, n=120, seed=3)
+        a = get_matrix("power", m=500, n=120, seed=3, readonly=True)
         cfg = AdaptiveConfig(tolerance=1e-6, l_init=8, l_inc=12, seed=11)
         seeds = range(20, 26)
         solo = {s: _fingerprint(a, cfg, NumpyExecutor(seed=s))

@@ -258,7 +258,7 @@ class TestTriangularSolve:
 # Parity: simulated vs numpy bit-identical, torch to fp tolerance
 # ---------------------------------------------------------------------------
 def _factors(backend: str, name: str, m=300, n=120, k=20):
-    a = get_matrix(name, m, n, seed=3)
+    a = get_matrix(name, m, n, seed=3, readonly=True)
     cfg = SamplingConfig(rank=k, oversampling=8, power_iterations=1,
                          seed=11, backend=backend)
     return a, random_sampling(a, cfg)

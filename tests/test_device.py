@@ -184,7 +184,7 @@ def _gallery_sample(name, m=300, n=120, l=28):
     from repro.core.power import power_iterate
     from repro.core.sampling import sample
     from repro.matrices.registry import get_matrix
-    a = get_matrix(name, m, n, seed=3)
+    a = get_matrix(name, m, n, seed=3, readonly=True)
     ex = NumpyExecutor(seed=11)
     b, _ = power_iterate(ex, a, sample(ex, a, l, kind="gaussian"), q=1,
                          scheme="cholqr2", reorthogonalize=True)

@@ -26,7 +26,7 @@ EXECUTORS = {
 
 
 def _matrix(name):
-    return get_matrix(name, m=500, n=120, seed=3)
+    return get_matrix(name, m=500, n=120, seed=3, readonly=True)
 
 
 def _config(name, rule="static", q=0):

@@ -1,5 +1,7 @@
 """Tests for the named test-matrix registry (repro.matrices.registry)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,11 +46,12 @@ class TestMatrixCache:
         clear_matrix_cache()
 
     def test_repeat_request_hits_cache(self):
-        get_matrix("power", m=80, n=30, seed=3)
+        a = get_matrix("power", m=80, n=30, seed=3, readonly=True)
         info = matrix_cache_info()
         assert info == {"hits": 0, "misses": 1, "entries": 1}
-        get_matrix("power", m=80, n=30, seed=3)
+        b = get_matrix("power", m=80, n=30, seed=3, readonly=True)
         assert matrix_cache_info()["hits"] == 1
+        assert np.shares_memory(a, b)
 
     def test_cache_key_includes_all_params(self):
         get_matrix("power", m=80, n=30, seed=3)
@@ -82,12 +85,52 @@ class TestMatrixCache:
 
     def test_lru_eviction(self, monkeypatch):
         monkeypatch.setenv("REPRO_MATRIX_CACHE", "2")
-        get_matrix("power", m=40, n=20, seed=0)
-        get_matrix("power", m=40, n=20, seed=1)
-        get_matrix("power", m=40, n=20, seed=2)   # evicts seed=0
+        get_matrix("power", m=40, n=20, seed=0, readonly=True)
+        get_matrix("power", m=40, n=20, seed=1, readonly=True)
+        get_matrix("power", m=40, n=20, seed=2, readonly=True)  # evicts 0
         assert matrix_cache_info()["entries"] == 2
-        get_matrix("power", m=40, n=20, seed=0)   # miss again
+        get_matrix("power", m=40, n=20, seed=0, readonly=True)  # miss again
         assert matrix_cache_info()["misses"] == 4
+
+
+class TestOwnership:
+    """A default call owns its array and the LRU keeps nothing for it;
+    ``readonly=True`` callers share the LRU's one frozen entry."""
+
+    def setup_method(self):
+        clear_matrix_cache()
+
+    def teardown_method(self):
+        clear_matrix_cache()
+
+    def test_default_miss_admits_nothing(self):
+        a = get_matrix("power", m=80, n=30, seed=3)
+        assert matrix_cache_info() == {"hits": 0, "misses": 1,
+                                       "entries": 0}
+        assert a.flags.writeable
+        shared = get_matrix("power", m=80, n=30, seed=3, readonly=True)
+        np.testing.assert_array_equal(a, shared)
+        assert not np.shares_memory(a, shared)
+
+    def test_default_miss_holds_one_buffer(self):
+        get_matrix("power", m=40, n=30, seed=0)  # warm imports and LAPACK
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            a = get_matrix("power", m=2000, n=200, seed=1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # A frozen LRU entry behind a private copy would hold 2x.
+        assert held <= 1.2 * a.nbytes
+
+    def test_default_call_on_held_key_copies(self):
+        shared = get_matrix("exponent", m=60, n=20, seed=0, readonly=True)
+        c = get_matrix("exponent", m=60, n=20, seed=0)
+        assert matrix_cache_info()["hits"] == 1
+        assert c.flags.writeable and not np.shares_memory(c, shared)
+        c[0, 0] = 123.0
+        assert shared[0, 0] != 123.0
 
 
 class TestTable1Row:
