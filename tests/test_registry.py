@@ -54,10 +54,10 @@ class TestMatrixCache:
         assert np.shares_memory(a, b)
 
     def test_cache_key_includes_all_params(self):
-        get_matrix("power", m=80, n=30, seed=3)
-        get_matrix("power", m=80, n=30, seed=4)      # different seed
-        get_matrix("power", m=81, n=30, seed=3)      # different m
-        get_matrix("exponent", m=80, n=30, seed=3)   # different name
+        get_matrix("power", m=80, n=30, seed=3, readonly=True)
+        get_matrix("power", m=80, n=30, seed=4, readonly=True)  # seed
+        get_matrix("power", m=81, n=30, seed=3, readonly=True)  # m
+        get_matrix("exponent", m=80, n=30, seed=3, readonly=True)  # name
         assert matrix_cache_info()["misses"] == 4
         assert matrix_cache_info()["hits"] == 0
 
@@ -75,7 +75,7 @@ class TestMatrixCache:
 
     def test_cache_disabled_via_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_MATRIX_CACHE", "0")
-        get_matrix("power", m=40, n=20, seed=0)
+        get_matrix("power", m=40, n=20, seed=0, readonly=True)
         assert matrix_cache_info()["entries"] == 0
 
     def test_bad_env_raises(self, monkeypatch):
