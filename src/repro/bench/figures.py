@@ -66,7 +66,7 @@ def table1_matrices(m: Optional[int] = None, n: Optional[int] = None,
     for name, spec in TABLE1_SPECS.items():
         mm = m if m is not None else scale_rows(spec.paper_shape[0], 8_000)
         nn = n if n is not None else spec.paper_shape[1]
-        a = get_matrix(name, m=mm, n=nn, seed=seed, readonly=True)
+        a = get_matrix(name, m=mm, n=nn, seed=seed)
         stats = table1_row(a, k=k)
         rows.append({"name": name, "m": mm, "n": nn, "k": k, **stats})
     return rows
@@ -89,7 +89,7 @@ def fig06_accuracy(m: Optional[int] = None, n: int = 500, k: int = 50,
     for name in matrices:
         mm = m if m is not None else scale_rows(
             TABLE1_SPECS[name].paper_shape[0], 10_000)
-        a = get_matrix(name, m=mm, n=n, seed=seed, readonly=True)
+        a = get_matrix(name, m=mm, n=n, seed=seed)
         row: Dict = {"name": name, "m": mm, "n": n}
         row["qp3"] = qp3_blocked(a, k=k).residual(a)
         for q in qs:

@@ -96,12 +96,12 @@ def timed_point(params: Dict):
 
 def accuracy_point(params: Dict) -> float:
     """One real-matrix accuracy run: residual of random sampling on a
-    gallery matrix (uses the registry's per-process LRU cache)."""
+    gallery matrix that the run generates and owns."""
     from ..config import SamplingConfig
     from ..core.random_sampling import random_sampling
     from ..matrices.registry import get_matrix
     a = get_matrix(params["name"], m=params["m"], n=params["n"],
-                   seed=params.get("matrix_seed", 0), readonly=True)
+                   seed=params.get("matrix_seed", 0))
     cfg = SamplingConfig(rank=params["k"],
                          oversampling=params.get("p", 10),
                          power_iterations=params.get("q", 1),

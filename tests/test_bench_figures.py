@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.bench import figures, sweep
+from repro.bench import figures
 from repro.bench.harness import (FixedRankTiming, qp3_baseline_seconds,
                                  scale_rows, timed_fixed_rank)
-from repro.matrices.registry import clear_matrix_cache, matrix_cache_info
 
 
 class TestHarness:
@@ -69,43 +68,6 @@ class TestNumericsFigures:
         r = {row["name"]: row for row in rows}
         assert r["hapmap"]["q0"] > 0.3
         assert r["exponent"]["q0"] < 1e-3
-
-
-_ACCURACY_POINT = {"name": "power", "m": 300, "n": 100, "k": 20, "p": 8,
-                   "q": 1, "matrix_seed": 2, "seed": 5}
-_SHARED_MATRIX_DRIVERS = {
-    "table1": lambda: figures.table1_matrices(m=300, n=100, k=20),
-    "fig06": lambda: figures.fig06_accuracy(m=300, n=100, k=20, p=8,
-                                            matrices=("power", "hapmap"),
-                                            include_p0=True,
-                                            include_fft=True),
-    "accuracy_point": lambda: sweep.accuracy_point(_ACCURACY_POINT),
-}
-
-
-class TestDriversShareTheirMatrix:
-    """The numerics drivers read their gallery matrix through
-    ``readonly=True``: a repeat call on one key is an LRU hit, and the
-    values match a run with the cache disabled."""
-
-    def setup_method(self):
-        clear_matrix_cache()
-
-    def teardown_method(self):
-        clear_matrix_cache()
-
-    @pytest.mark.parametrize("driver", sorted(_SHARED_MATRIX_DRIVERS))
-    def test_repeat_call_hits(self, driver, monkeypatch):
-        run = _SHARED_MATRIX_DRIVERS[driver]
-        first = run()
-        misses = matrix_cache_info()["misses"]
-        assert misses > 0 and matrix_cache_info()["hits"] == 0
-        assert run() == first
-        assert matrix_cache_info() == {"hits": misses, "misses": misses,
-                                       "entries": misses}
-        clear_matrix_cache()
-        monkeypatch.setenv("REPRO_MATRIX_CACHE", "0")
-        assert run() == first
 
 
 class TestKernelFigures:

@@ -120,6 +120,7 @@ class TestSharedMatrix:
             b.flags.writeable = True
         # The default path still hands out a private writable copy.
         c = get_matrix(REF.name, m=REF.m, n=REF.n, seed=REF.seed)
+        assert matrix_cache_info()["hits"] == hits + 2
         assert c.flags.writeable and not np.shares_memory(a, c)
         assert np.array_equal(a, c)
 
