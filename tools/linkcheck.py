@@ -6,14 +6,19 @@ the repo root plus ``docs/``), extracts inline links and images, and
 fails when a *repo-internal* target does not exist:
 
 - relative paths are resolved against the file containing the link and
-  must exist on disk (``docs/backends.md#selection`` checks only the
-  file part — anchors are not validated against heading slugs);
+  must exist on disk;
 - absolute ``/...`` paths resolve against the repo root;
-- ``http(s)://``, ``mailto:`` and pure-anchor (``#...``) targets are
-  skipped — CI must not depend on external availability.
+- an anchor on a markdown target (``docs/backends.md#selection``, or
+  ``#selection`` for the linking file itself) must name one of that
+  file's headings, slugged as GitHub does: lowercased, every character
+  other than a letter, digit, space, ``-`` or ``_`` dropped, spaces
+  turned into ``-``, and a repeated heading's slug suffixed ``-1``,
+  ``-2``, ...  Only ATX (``#``) headings outside code fences count;
+- ``http(s)://`` and ``mailto:`` targets are skipped — CI must not
+  depend on external availability.
 
-Exit code 0 when every internal link resolves, 1 otherwise (one line
-per dead link, ``file:line: target``).
+Exit code 0 when every internal link and anchor resolves, 1 otherwise
+(one line per dead link or anchor, ``file:line: target``).
 
 Usage::
 
@@ -25,8 +30,10 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
+from urllib.parse import unquote
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +44,8 @@ _INLINE_RE = re.compile(r"!?\[[^\]^\[]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _REFDEF_RE = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 _FENCE_RE = re.compile(r"^(```|~~~).*?^\1\s*$", re.MULTILINE | re.DOTALL)
 _CODESPAN_RE = re.compile(r"`[^`\n]*`")
+_HEADING_RE = re.compile(r"^ {0,3}#{1,6}[ \t]+(.*?)(?:[ \t]+#+)?[ \t]*$",
+                         re.MULTILINE)
 
 _SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
 
@@ -59,14 +68,34 @@ def iter_markdown(paths: List[str]) -> Iterable[Path]:
             yield p
 
 
+def _blank(m: re.Match) -> str:
+    """Blank out a code region, preserving newlines for line numbers."""
+    return re.sub(r"[^\n]", " ", m.group(0))
+
+
+def slugify(heading: str) -> str:
+    """GitHub's anchor for a heading's text."""
+    return re.sub(r"[^\w\- ]", "", heading.strip().lower()).replace(" ", "-")
+
+
+@lru_cache(maxsize=None)
+def heading_anchors(md: Path) -> FrozenSet[str]:
+    """Every anchor the headings of markdown file ``md`` define."""
+    text = _FENCE_RE.sub(_blank, md.read_text(encoding="utf-8"))
+    anchors = set()
+    seen: Dict[str, int] = {}
+    for m in _HEADING_RE.finditer(text):
+        slug = slugify(m.group(1))
+        repeats = seen.get(slug, 0)
+        seen[slug] = repeats + 1
+        anchors.add(f"{slug}-{repeats}" if repeats else slug)
+    return frozenset(anchors)
+
+
 def extract_targets(text: str) -> List[Tuple[int, str]]:
     """(line, target) pairs for every link in ``text``."""
-    # Blank out code regions, preserving newlines for line numbers.
-    def blank(m: re.Match) -> str:
-        return re.sub(r"[^\n]", " ", m.group(0))
-
-    cleaned = _FENCE_RE.sub(blank, text)
-    cleaned = _CODESPAN_RE.sub(blank, cleaned)
+    cleaned = _FENCE_RE.sub(_blank, text)
+    cleaned = _CODESPAN_RE.sub(_blank, cleaned)
     out: List[Tuple[int, str]] = []
     for regex in (_INLINE_RE, _REFDEF_RE):
         for m in regex.finditer(cleaned):
@@ -79,17 +108,21 @@ def check_file(md: Path) -> List[str]:
     errors: List[str] = []
     rel = md.relative_to(REPO_ROOT) if md.is_relative_to(REPO_ROOT) else md
     for line, target in extract_targets(md.read_text(encoding="utf-8")):
-        if target.startswith(_SKIP_SCHEMES) or target.startswith("#"):
+        if target.startswith(_SKIP_SCHEMES):
             continue
-        path_part = target.split("#", 1)[0].split("?", 1)[0]
+        path_part, _, fragment = target.partition("#")
+        path_part = path_part.split("?", 1)[0]
         if not path_part:
-            continue
-        if path_part.startswith("/"):
+            resolved = md
+        elif path_part.startswith("/"):
             resolved = REPO_ROOT / path_part.lstrip("/")
         else:
             resolved = md.parent / path_part
         if not resolved.exists():
             errors.append(f"{rel}:{line}: dead link -> {target}")
+        elif (fragment and resolved.suffix == ".md"
+              and unquote(fragment) not in heading_anchors(resolved.resolve())):
+            errors.append(f"{rel}:{line}: dead anchor -> {target}")
     return errors
 
 
