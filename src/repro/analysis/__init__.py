@@ -22,36 +22,22 @@ RS109   returned ``StreamEvent`` discarded (sync dropped on the floor)
 RS110   transfer submit with empty ``deps`` and no ``after_all``
 RS111   ``submit``/``submit_group`` without ``reads=``/``writes=``
         race-sanitizer annotations (``repro/gpu/multigpu.py``)
-RS112   ``restore()`` fed a dict that is not a ``state()`` snapshot
 RS113   stale ``# repro: noqa`` suppressing nothing
 RS114   raw ``np.linalg``/``np.fft``/``scipy.linalg`` outside
         ``repro/backends`` (bypasses the pluggable-backend seam)
-RS115   device-resident value reaches host-only math without
-        ``to_host()`` (cross-module dataflow)
-RS116   transfer ping-pong: h2d then d2h with no device kernel in
-        between, or re-upload of a device-resident value
-RS117   backend handle escapes the executor contract (module
-        global, ``@allow_untimed_math`` scope, or public return)
-RS118   timed ``charge``/``submit`` reachable from a scope with no
-        executor/scheduler accounting
-RS119   RNG not derived from ``SamplingConfig.seed`` reaches a
-        sampling draw
 RS122   ``submit``/``submit_group`` race annotation is incomplete
         (missing/empty ``writes=``, or a derived read such as
         ``"B@g0"`` whose base buffer is never written)
 RS123   math on a path where the charge is conditional (uncharged
-        or double-charged branch in a timed scope; per file)
+        or double-charged branch in a timed scope)
 RS125   async hygiene in ``repro.serve``: blocking call inside an
         ``async def``, un-awaited coroutine, unbounded queue
 ======  =====================================================
 
-The static concurrency lints (RS109-RS112) pair with the dynamic
-happens-before race sanitizer in :mod:`repro.analysis.races`.  The
-residency family (RS115-RS119) is *project-wide*: the engine builds a
-symbol table and call graph over every file under analysis and runs a
-forward abstract interpretation on the host/device residency lattice
-(:mod:`repro.analysis.dataflow`), so a value produced in one module
-and misused in another is one finding at the sink.
+The static concurrency lints (RS109-RS111) pair with the dynamic
+happens-before race sanitizer in :mod:`repro.analysis.races`.  Every
+rule is per file: the engine parses each file once and runs the
+selected checkers over it, with no cross-module state.
 
 Charged kernel dimensions are not a static concern: the executor ops
 are built on charged primitives that read them from their operands,
@@ -61,9 +47,8 @@ paper's Figure 5 closed forms.
 
 Run ``python -m repro.analysis src/repro`` (or ``python -m repro.cli
 analyze``); see ``docs/static_analysis.md`` for the rule reference,
-the ``# repro: noqa RSxxx`` suppression syntax, baselines, the
-incremental cache (``--no-cache``/``--cache-dir``), parallel analysis
-(``--jobs``), and SARIF export (``--format sarif``).
+the ``# repro: noqa RSxxx`` suppression syntax, baselines and SARIF
+export (``--format sarif``).
 
 This ``__init__`` stays import-light (only the finding dataclass and
 the :func:`allow_untimed_math` marker) because algorithm modules import
@@ -73,14 +58,13 @@ when an analysis actually runs.
 
 from __future__ import annotations
 
-from .annotations import allow_untimed_math, residency
+from .annotations import allow_untimed_math
 from .findings import (EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS,
                        AnalysisFinding)
 
 __all__ = [
     "AnalysisFinding",
     "allow_untimed_math",
-    "residency",
     "analyze_paths",
     "main",
     "EXIT_CLEAN",

@@ -10,16 +10,13 @@ Exit codes (the CI contract, see :mod:`repro.analysis.findings`):
 
 Output formats: ``text`` (one line per finding), ``json`` (findings +
 baseline accounting), ``sarif`` (SARIF 2.1.0 for GitHub code
-scanning).  Diagnostics that are not part of the machine-readable
-payload (cache statistics) go to stderr so stdout stays byte-stable
-for a given tree regardless of cache state or ``--jobs``.
+scanning).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -27,21 +24,11 @@ from typing import List, Optional
 from ..errors import StaticAnalysisError
 from .baseline import (DEFAULT_BASELINE, apply_baseline, load_baseline,
                        update_baseline, write_baseline)
-from .cache import DEFAULT_CACHE_DIR, AnalysisCache
-from .engine import _resolve_rules, all_rules, run_analysis
+from .engine import _resolve_rules, all_rules, analyze_paths
 from .findings import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS
 from .sarif import render_sarif
 
 __all__ = ["main", "build_parser"]
-
-
-def _default_jobs() -> int:
-    """``--jobs`` default: the REPRO_ANALYZE_JOBS env var, else 1."""
-    raw = os.environ.get("REPRO_ANALYZE_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,11 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text", dest="fmt",
                         help="output format (default: text)")
-    parser.add_argument("--jobs", metavar="N", type=int,
-                        default=_default_jobs(),
-                        help="analyze files in N worker processes "
-                             "(default: $REPRO_ANALYZE_JOBS or 1; "
-                             "findings order is identical either way)")
     parser.add_argument("--baseline", metavar="PATH",
                         default=DEFAULT_BASELINE,
                         help="baseline JSON of accepted findings "
@@ -80,15 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "findings, pruning entries that no longer "
                              "occur (prints what was dropped), and "
                              "exit 0")
-    parser.add_argument("--cache-dir", metavar="DIR",
-                        default=DEFAULT_CACHE_DIR,
-                        help="incremental cache directory "
-                             f"(default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental cache (forces a "
-                             "cold re-analysis of every file)")
-    parser.add_argument("--stats", action="store_true",
-                        help="print parse/cache statistics to stderr")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule ids and summaries, then "
                              "exit")
@@ -123,16 +96,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{rule}  {cls.summary}")
         return EXIT_CLEAN
 
-    cache = None if args.no_cache else AnalysisCache(Path(args.cache_dir))
     try:
         select = _split_rules(args.select)
         ignore = _split_rules(args.ignore)
         wanted = _resolve_rules(registry, select, ignore)
-        result = run_analysis(
-            [Path(p) for p in args.paths],
-            select=select, ignore=ignore,
-            jobs=max(1, args.jobs), cache=cache)
-        findings = result.findings
+        findings = analyze_paths([Path(p) for p in args.paths],
+                                 select=select, ignore=ignore)
 
         baseline_path = Path(args.baseline)
         if args.write_baseline:
@@ -154,10 +123,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except StaticAnalysisError as exc:
         print(f"repro-analyze: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-    if args.stats:
-        print(f"[repro-analyze stats: {result.stats.as_dict()}]",
-              file=sys.stderr)
 
     if args.fmt == "sarif":
         ran = {rule: registry[rule] for rule in wanted}

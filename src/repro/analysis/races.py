@@ -34,7 +34,7 @@ at detection time; the default collects :class:`Race` records for the
 machine-readable :meth:`RaceChecker.report` that ``repro-bench obs run
 --race-check`` writes and CI renders.
 
-The static twins of this sanitizer are lints RS109-RS112 (dropped
+The static twins of this sanitizer are lints RS109-RS111 (dropped
 events, unordered transfers, missing ``reads=``/``writes=``
 annotations — the annotations this checker consumes); together they
 make the vector-clock evidence complete.  See

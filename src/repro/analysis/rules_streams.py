@@ -1,4 +1,4 @@
-"""Stream-scheduler rules: RS108, the RS109–RS112 concurrency lints and
+"""Stream-scheduler rules: RS108, the RS109–RS111 concurrency lints and
 RS122 race-annotation completeness.
 
 The multi-GPU executor's modeled elapsed time is the critical path
@@ -8,13 +8,12 @@ submitted with no ordering doesn't crash — it silently shifts the
 critical path and corrupts the Figure 15 numbers.  RS108 keeps all
 charging on the stream API; RS109–RS111 catch dropped syncs, unordered
 transfers, and missing race-sanitizer annotations *before* a run;
-RS112 schema-checks ``restore()`` call sites; RS122 checks that every
-submission's ``writes=`` and derived reads give the sanitizer a DAG it
-can order.  The dynamic complement
-is :mod:`repro.analysis.races` (see docs/static_analysis.md, "Race
+RS122 checks that every submission's ``writes=`` and derived reads
+give the sanitizer a DAG it can order.  The dynamic complement is
+:mod:`repro.analysis.races` (see docs/static_analysis.md, "Race
 sanitizer").
 
-RS109/RS110/RS112 apply to any module that imports
+RS109/RS110 apply to any module that imports
 :mod:`repro.gpu.streams` (the fingerprint of code driving the
 scheduler); RS111 is scoped to ``repro/gpu/multigpu.py``, the one
 module whose annotations the fig15 race check depends on.
@@ -31,8 +30,8 @@ from .rules_executor import in_timed_scope
 
 __all__ = ["StreamChargeChecker", "DroppedEventChecker",
            "UnorderedTransferChecker", "MissingAccessChecker",
-           "RestoreSchemaChecker", "IncompleteRaceAnnotationChecker",
-           "STREAM_SCOPES", "TRANSFER_STREAMS", "STATE_KEYS"]
+           "IncompleteRaceAnnotationChecker", "STREAM_SCOPES",
+           "TRANSFER_STREAMS"]
 
 #: Path fragments (posix) where RS108/RS111 are enforced: the executors
 #: whose clock is the stream scheduler's critical path.
@@ -41,10 +40,6 @@ STREAM_SCOPES: Tuple[str, ...] = ("repro/gpu/multigpu.py",)
 #: Stream names whose submissions move data: these are exactly the
 #: submissions whose ordering a missing edge silently breaks.
 TRANSFER_STREAMS = ("comms", "h2d", "d2h", "pcie")
-
-#: Keys a :meth:`StreamScheduler.state` snapshot always carries —
-#: what RS112 demands of dict literals fed to ``restore()``.
-STATE_KEYS = frozenset({"ready", "busy", "frontier", "submissions"})
 
 
 def _imports_streams(ctx: ModuleContext) -> bool:
@@ -240,57 +235,6 @@ class MissingAccessChecker(BaseChecker):
                             "this submission's accesses; name the "
                             "logical buffers it touches")
         self.generic_visit(node)
-
-
-@register
-class RestoreSchemaChecker(BaseChecker):
-    """RS112: ``restore()`` fed something that is not a ``state()``
-    snapshot.
-
-    The replay contract is ``sched.restore(sched.state())`` (possibly
-    through JSON).  At call sites this rule pins down the statically
-    checkable shapes: a dict literal must carry every snapshot key
-    (``ready``/``busy``/``frontier``/``submissions``), and a literal
-    non-dict argument (or wrong arity) is always wrong.  Variables and
-    other dynamic expressions pass — the scheduler still validates at
-    run time.
-    """
-
-    rule = "RS112"
-    summary = ("restore() argument is not a state() snapshot (dict "
-               "literal missing snapshot keys, or non-dict literal)")
-
-    def run(self):
-        if not _imports_streams(self.ctx):
-            return self.findings
-        return super().run()
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "restore":
-            self._check_restore(node)
-        self.generic_visit(node)
-
-    def _check_restore(self, node: ast.Call) -> None:
-        if len(node.args) != 1 or node.keywords:
-            self.emit(node, "restore() takes exactly one positional "
-                            "argument: a state() snapshot dict")
-            return
-        arg = node.args[0]
-        if isinstance(arg, ast.Dict):
-            keys = {k.value for k in arg.keys
-                    if isinstance(k, ast.Constant)}
-            missing = STATE_KEYS - keys
-            if None in arg.keys:       # ** splat: can't tell, pass
-                return
-            if missing:
-                self.emit(node, "restore() dict literal is missing "
-                                f"snapshot key(s) {sorted(missing)}; "
-                                "only state() output (or its JSON "
-                                "round-trip) is a valid snapshot")
-        elif isinstance(arg, ast.Constant):
-            self.emit(node, f"restore() fed a {type(arg.value).__name__} "
-                            "literal; it needs a state() snapshot dict")
 
 
 # ---------------------------------------------------------------------------

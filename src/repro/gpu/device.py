@@ -35,7 +35,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..analysis.annotations import residency
 from ..backends import resolve_backend
 from ..backends.hostmath import LinAlgError
 from ..config import ORTH_SCHEMES
@@ -139,7 +138,6 @@ def shape_of(a: ArrayLike) -> Tuple[int, ...]:
     return tuple(a.shape)
 
 
-@residency(returns="device")
 def _mm(a: ArrayLike, b: ArrayLike, backend) -> ArrayLike:
     """The math of a charged product (its caller checked the shapes):
     symbolic-aware, real data on ``backend``."""
@@ -321,7 +319,6 @@ class NumpyExecutor:
         executors to establish the partitioned dimension; no-op here)."""
 
     # -- transfers --------------------------------------------------------
-    @residency(returns="device")
     def to_device(self, a: ArrayLike) -> ArrayLike:
         """Upload ``a`` to modeled device memory.
 
@@ -334,15 +331,12 @@ class NumpyExecutor:
             return a
         return self.backend.to_device(a)
 
-    @residency(returns="host")
     def to_host(self, a: ArrayLike) -> ArrayLike:
         """Download a device-resident value back to host-canonical
         form, recording the d2h transfer in ``BackendStats``.
 
-        This is the sanctioned crossing the RS115 residency rule looks
-        for: any definitely-device value must pass through here before
-        host-only math (``hostmath.*``, comparisons, ``float()``).
-        Symbolic arrays pass through untouched.
+        Observation-only, like :meth:`to_device`.  Symbolic arrays
+        pass through untouched.
         """
         if is_symbolic(a):
             return a
@@ -371,7 +365,6 @@ class NumpyExecutor:
     # -- charged primitives -----------------------------------------------
     # Each reads its kernel dimensions from its operands, charges them,
     # then runs the math: an op cannot bill a product it did not compute.
-    @residency(returns="device")
     def _gemm(self, x: ArrayLike, y: ArrayLike, phase: str,
               split: Optional[str] = None,
               reads: Sequence[str] = ()) -> ArrayLike:
@@ -390,7 +383,6 @@ class NumpyExecutor:
         self._t_gemm(m, n, k, phase, split, reads)
         return _mm(x, y, self.backend)
 
-    @residency(returns="device")
     def _gemm_stacked(self, xs: Sequence[ArrayLike], y: ArrayLike,
                       phase: str) -> list:
         """``X_i Y`` for every block, charged as ONE stacked
@@ -452,7 +444,6 @@ class NumpyExecutor:
                 f"{rank} columns", rank=rank) from exc
 
     # -- operations -------------------------------------------------------
-    @residency(returns="device")
     def prng_gaussian(self, rows: int, cols: int,
                       symbolic: bool = False) -> ArrayLike:
         """Generate the ``rows x cols`` Gaussian sampling matrix Omega
@@ -465,12 +456,10 @@ class NumpyExecutor:
             return SymArray((rows, cols))
         return self.backend.standard_normal(self.rng, (rows, cols))
 
-    @residency(returns="device")
     def sample_gemm(self, omega: ArrayLike, a: ArrayLike) -> ArrayLike:
         """Step 1 pruned Gaussian sampling ``B = Omega A``."""
         return self._gemm(omega, a, "sampling")
 
-    @residency(returns="device")
     def sample_gemm_stacked(self, omegas: Sequence[ArrayLike],
                             a: ArrayLike) -> list:
         """Coalesced Step-1 sketch of a request batch:
@@ -492,7 +481,6 @@ class NumpyExecutor:
             raise ShapeError("sample_gemm_stacked needs >= 1 Omega")
         return self._gemm_stacked(omegas, a, "sampling")
 
-    @residency(returns="device")
     def fft_sample(self, a: ArrayLike, l: int, axis: str = "row",
                    ) -> ArrayLike:
         """Full-FFT sampling: FFT-transform A (padded to a power of
@@ -530,17 +518,14 @@ class NumpyExecutor:
         parts = np.where(real_or_imag[:, None], picked.real, picked.imag)
         return np.ascontiguousarray(parts) * np.sqrt(2.0 * d / l)
 
-    @residency(returns="device")
     def iter_gemm_at(self, b: ArrayLike, a: ArrayLike) -> ArrayLike:
         """Power-iteration product ``C = B A^T``  (line 7 of Fig. 2a)."""
         return self._gemm(b, a.T, "gemm_iter")
 
-    @residency(returns="device")
     def iter_gemm_a(self, c: ArrayLike, a: ArrayLike) -> ArrayLike:
         """Power-iteration product ``B = C A``  (line 12 of Fig. 2a)."""
         return self._gemm(c, a, "gemm_iter")
 
-    @residency(returns="device")
     def orth_rows(self, b: ArrayLike, scheme: str = "cholqr2",
                   phase: str = "orth_iter") -> ArrayLike:
         """Orthonormalize the rows of a short-wide block; returns Q.
@@ -558,7 +543,6 @@ class NumpyExecutor:
                              f"got {l} x {n}")
         return self._orth(b, scheme, phase)
 
-    @residency(returns="device")
     def block_orth_rows(self, q_prev: Optional[ArrayLike], v: ArrayLike,
                         reorth: bool = True,
                         phase: str = "orth_iter") -> ArrayLike:
@@ -598,7 +582,6 @@ class NumpyExecutor:
         q, r, perm = self.backend.qrcp(np.asarray(b))
         return q[:, :k], r[:k, :], perm
 
-    @residency(returns="device")
     def take_columns(self, a: ArrayLike, idx: Union[np.ndarray,
                                                     Sequence[int]]
                      ) -> ArrayLike:
@@ -634,7 +617,6 @@ class NumpyExecutor:
         multiply producing the ``k x n`` factor in pivoted order."""
         return self._trsolve(rbar, t, phase, assemble=True)
 
-    @residency(returns="host")
     def estimate_error(self, b_new: ArrayLike, q_prev: ArrayLike,
                        phase: str = "other") -> float:
         """Adaptive-scheme error estimate (line 15 of Fig. 3):
@@ -651,12 +633,10 @@ class NumpyExecutor:
                 "scheme with a concrete matrix")
         return self.backend.norm(b_new - fit, ord=2)
 
-    @residency(returns="device")
     def vstack(self, parts: Sequence[ArrayLike]) -> ArrayLike:
         """Stack sampled blocks (subspace growth in the adaptive loop)."""
         return _vstack(parts)
 
-    @residency(returns="device")
     def gemm(self, x: ArrayLike, y: ArrayLike,
              phase: str = "other") -> ArrayLike:
         """General timed product ``X Y`` for post-processing steps that
@@ -664,7 +644,6 @@ class NumpyExecutor:
         factor assembly)."""
         return self._gemm(x, y, phase)
 
-    @residency(returns="host")
     def svd_small(self, r: ArrayLike, phase: str = "other"
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dense SVD of a small factor (the ``l x l`` tail of the
@@ -678,7 +657,6 @@ class NumpyExecutor:
                 "matrix")
         return self.backend.svd(np.asarray(r), full_matrices=False)
 
-    @residency(returns="host")
     def row_norms(self, x: ArrayLike,
                   phase: str = "orth_iter") -> np.ndarray:
         """Per-row 2-norms (the adaptive scheme's DGKS degeneracy

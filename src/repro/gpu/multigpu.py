@@ -47,7 +47,6 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..analysis.annotations import residency
 from ..errors import ConfigurationError
 from .device import (ArrayLike, GPUExecutor, SimulatedGPU, SymArray,
                      _words_bytes, shape_of)
@@ -224,7 +223,6 @@ class MultiGPUExecutor(GPUExecutor):
     # ------------------------------------------------------------------
     # overridden operations (timing only; math identical to base class)
     # ------------------------------------------------------------------
-    @residency(returns="device")
     def prng_gaussian(self, rows: int, cols: int,
                       symbolic: bool = False) -> ArrayLike:
         # Omega is generated distributed (rows x c per device).
@@ -237,16 +235,15 @@ class MultiGPUExecutor(GPUExecutor):
             return SymArray((rows, cols))
         return self.backend.standard_normal(self.rng, (rows, cols))
 
-    @residency(returns="host")
     def sample_gemm(self, omega: ArrayLike, a: ArrayLike) -> ArrayLike:
         """``B_(i) = Omega_(i) A_(i)`` locally, then CPU accumulation;
         the chunked gather overlaps the next chunk's GEMM.
 
         The accumulated ``B`` is host-resident (the reduction in
-        :meth:`_reduce_b` lands on the CPU), so the declared residency
-        is ``host`` and the product is downloaded through
-        :meth:`~repro.gpu.device.NumpyExecutor.to_host` — dropping that
-        download is an RS115 violation the analyzer catches.
+        :meth:`_reduce_b` lands on the CPU), so the product is
+        downloaded through
+        :meth:`~repro.gpu.device.NumpyExecutor.to_host`, which records
+        the d2h transfer in ``BackendStats``.
         """
         b = self._gemm(omega, a, "sampling", split="inner",
                        reads=["Omega", "A"])
@@ -300,18 +297,16 @@ class MultiGPUExecutor(GPUExecutor):
                                 bytes_moved=8.0 * l * n,
                                 reads=[src], writes=[f"{src}@g{d}"])
 
-    @residency(returns="device")
     def iter_gemm_at(self, b: ArrayLike, a: ArrayLike) -> ArrayLike:
         """``C_(i) = B A_(i)^T`` locally; C stays distributed."""
         return self._gemm(b, a.T, "gemm_iter", split="cols",
                           reads=[f"B@g{d}" for d in range(self.ng)] + ["A"])
 
-    @residency(returns="host")
     def iter_gemm_a(self, c_mat: ArrayLike, a: ArrayLike) -> ArrayLike:
         """``B_(i) = C_(i) A_(i)`` locally, then CPU accumulation.
 
         Like :meth:`sample_gemm`, the reduced ``B`` is host-resident
-        and must come back through ``to_host`` (RS115-checked).
+        and comes back through ``to_host``.
         """
         b = self._gemm(c_mat, a, "gemm_iter", split="inner",
                        reads=["C", "A"])

@@ -33,7 +33,7 @@ derived from shapes and the kernel rate models, never from which
 :mod:`repro.backends` compute engine executes the arithmetic, so
 schedules (and fig15 totals) are identical under every ``--backend``.
 Missing ``deps=`` edges are caught two ways: statically by lints
-RS109-RS112 and dynamically by the happens-before race sanitizer
+RS109-RS111 and dynamically by the happens-before race sanitizer
 (:mod:`repro.analysis.races`); see ``docs/performance.md`` for the
 scheduling model and ``docs/static_analysis.md`` for the checkers.
 """

@@ -9,8 +9,9 @@ tests pin what must not move while that path is kept cheap: the two
 sinks agree bit for bit, the tree built from the log equals the one
 the eager per-charge algorithm built (also under a racing read), step
 aggregates count only accounted kernels, every sink rejects a
-non-finite charge, an unread run builds no span, and executors seed
-their RNG only when a sampling matrix is actually drawn.
+non-finite charge, an unread run builds no span, executors seed
+their RNG only when a sampling matrix is actually drawn, and a real
+matrix charges exactly what a shape-only one of its size does.
 """
 
 import hashlib
@@ -35,6 +36,7 @@ from repro.gpu.device import GPUExecutor, SimulatedGPU, SymArray
 from repro.gpu.multigpu import MultiGPUExecutor
 from repro.gpu.streams import StreamScheduler
 from repro.gpu.trace import PHASES, TimeLine
+from repro.matrices.registry import get_matrix
 from repro.obs.spans import Span, SpanRecorder
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -560,3 +562,42 @@ class TestLazyRng:
         ex.rng = np.random.default_rng(99)
         expected = np.random.default_rng(99).standard_normal((3, 5))
         assert ex.prng_gaussian(3, 5).tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The modeled clock reads shapes, never values
+# ---------------------------------------------------------------------------
+
+SHAPE_ONLY_EXECUTORS = {
+    "ng1": lambda: GPUExecutor(seed=3),
+    "ng2": lambda: MultiGPUExecutor(ng=2, seed=3),
+    "ng3-serial": lambda: MultiGPUExecutor(ng=3, seed=3, overlap=False),
+}
+
+
+@pytest.fixture(scope="module")
+def power_matrix():
+    return get_matrix("power", m=2000, n=300, seed=1)
+
+
+class TestModeledClockIsShapeOnly:
+    """A real matrix and a :class:`SymArray` of its shape must charge
+    the same modeled seconds, phase by phase.  Math that reaches a
+    backend without going through a charged executor op on real data
+    (a module-level backend handle, say) is missing from the real
+    run's clock and shows up here as a difference.  rSVD and CUR
+    refuse symbolic input, and the adaptive scheme's step count
+    depends on values, so they are not compared."""
+
+    @pytest.mark.parametrize("executor", sorted(SHAPE_ONLY_EXECUTORS))
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("sampler", ["gaussian", "fft"])
+    def test_real_and_symbolic_runs_charge_alike(self, power_matrix,
+                                                 sampler, q, executor):
+        cfg = SamplingConfig(rank=20, power_iterations=q, sampler=sampler,
+                             seed=3)
+        make = SHAPE_ONLY_EXECUTORS[executor]
+        real = random_sampling(power_matrix, cfg, executor=make())
+        sym = random_sampling(SymArray((2000, 300)), cfg, executor=make())
+        assert real.seconds == sym.seconds
+        assert real.breakdown == sym.breakdown

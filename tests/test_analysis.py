@@ -15,11 +15,12 @@ import pytest
 
 from repro.analysis import allow_untimed_math
 from repro.analysis.baseline import (apply_baseline, load_baseline,
-                                     write_baseline)
+                                     update_baseline, write_baseline)
 from repro.analysis.cli import main as analyze_main
-from repro.analysis.engine import analyze_paths, parse_noqa
+from repro.analysis.engine import all_rules, analyze_paths, parse_noqa
 from repro.analysis.findings import (EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS,
                                      AnalysisFinding)
+from repro.analysis.sarif import render_sarif, to_sarif, validate_sarif
 from repro.errors import ConfigurationError, ReproError, StaticAnalysisError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +36,15 @@ def run_rule(tmp_path, source, rel="repro/core/mod.py", **kw):
 
 def rules_of(findings):
     return [f.rule for f in findings]
+
+
+def write_project(tmp_path, files):
+    """Write ``{relpath: source}`` under ``tmp_path``; return the root."""
+    for rel, src in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(src, encoding="utf-8")
+    return tmp_path
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +396,7 @@ class TestRS108:
 
 
 # ---------------------------------------------------------------------------
-# RS109-RS112: stream-scheduler concurrency lints
+# RS109-RS111: stream-scheduler concurrency lints
 # ---------------------------------------------------------------------------
 
 _STREAMS_IMPORT = "from repro.gpu.streams import StreamScheduler\n"
@@ -517,43 +527,6 @@ class TestRS111:
                "    s.submit('comms', 1.0, after_all=True)"
                "  # repro: noqa RS111\n")
         assert run_rule(tmp_path, src, rel=MGPU, select=["RS111"]) == []
-
-
-class TestRS112:
-    def test_flags_dict_literal_missing_keys(self, tmp_path):
-        src = (_STREAMS_IMPORT +
-               "def f(s):\n"
-               "    s.restore({'ready': {}, 'busy': {}})\n")
-        out = run_rule(tmp_path, src, rel=MOD, select=["RS112"])
-        assert rules_of(out) == ["RS112"]
-        assert "frontier" in out[0].message
-
-    def test_flags_non_dict_literal_and_bad_arity(self, tmp_path):
-        src = (_STREAMS_IMPORT +
-               "def f(s):\n"
-               "    s.restore(None)\n"
-               "    s.restore('snapshot.json')\n"
-               "    s.restore()\n")
-        out = run_rule(tmp_path, src, rel=MOD, select=["RS112"])
-        assert rules_of(out) == ["RS112", "RS112", "RS112"]
-
-    def test_state_roundtrip_and_dynamic_args_pass(self, tmp_path):
-        src = (_STREAMS_IMPORT +
-               "import json\n"
-               "def f(s, snap):\n"
-               "    s.restore(s.state())\n"
-               "    s.restore(snap)\n"
-               "    s.restore(json.loads('{}'))\n"
-               "    s.restore({'ready': {}, 'busy': {}, 'frontier': 0.0,\n"
-               "               'submissions': 0})\n"
-               "    s.restore({**snap})\n")
-        assert run_rule(tmp_path, src, rel=MOD, select=["RS112"]) == []
-
-    def test_suppressed_by_noqa(self, tmp_path):
-        src = (_STREAMS_IMPORT +
-               "def f(s):\n"
-               "    s.restore(None)  # repro: noqa RS112\n")
-        assert run_rule(tmp_path, src, rel=MOD, select=["RS112"]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +682,50 @@ class TestBaseline:
 
 
 # ---------------------------------------------------------------------------
+# Baseline maintenance (--update-baseline)
+# ---------------------------------------------------------------------------
+
+class TestUpdateBaseline:
+    def test_prunes_stale_and_reports(self, tmp_path):
+        root = write_project(tmp_path / "proj",
+                             {"bad.py": _VIOLATIONS["RS104"]})
+        baseline = tmp_path / "analysis-baseline.json"
+        findings = analyze_paths([root], root=root, select=["RS104"])
+        write_baseline(baseline, findings)
+        assert len(load_baseline(baseline)) == 1
+
+        # Fix the violation, then prune: the stale entry is dropped.
+        (root / "bad.py").write_text(
+            "from repro.errors import ConfigurationError\n"
+            "def f():\n"
+            "    raise ConfigurationError('x')\n",
+            encoding="utf-8")
+        fixed = analyze_paths([root], root=root, select=["RS104"])
+        added, dropped, kept = update_baseline(baseline, fixed)
+        assert added == [] and kept == []
+        assert len(dropped) == 1 and dropped[0].startswith("RS104:")
+        assert load_baseline(baseline) == {}
+
+    def test_cli_update_baseline_prints_dropped(self, tmp_path, capsys,
+                                                monkeypatch):
+        root = write_project(tmp_path / "proj",
+                             {"bad.py": _VIOLATIONS["RS104"]})
+        monkeypatch.chdir(tmp_path)
+        baseline = str(tmp_path / "bl.json")
+        assert analyze_main([str(root), "--select", "RS104",
+                             "--write-baseline", "--baseline",
+                             baseline]) == EXIT_CLEAN
+        (root / "bad.py").write_text("def ok():\n    return 1\n",
+                                     encoding="utf-8")
+        code = analyze_main([str(root), "--select", "RS104",
+                             "--update-baseline", "--baseline", baseline])
+        out = capsys.readouterr().out
+        assert code == EXIT_CLEAN
+        assert "dropped stale baseline entry RS104:" in out
+        assert "1 dropped" in out
+
+
+# ---------------------------------------------------------------------------
 # CLI: exit-code contract
 # ---------------------------------------------------------------------------
 
@@ -735,9 +752,6 @@ _VIOLATIONS = {
     "RS111": ("from .streams import StreamScheduler\n"
               "def f(s):\n"
               "    s.submit('comms', 1.0, after_all=True)\n"),
-    "RS112": ("from repro.gpu.streams import StreamScheduler\n"
-              "def f(s):\n"
-              "    s.restore({'ready': {}, 'busy': {}})\n"),
 }
 
 #: Rules scoped by path need their fixture at a matching location.
@@ -819,6 +833,9 @@ class TestCLI:
         out = capsys.readouterr().out
         for rule in sorted(_VIOLATIONS) + ["RS113"]:
             assert rule in out
+        for retired in ("RS112", "RS115", "RS116", "RS117", "RS118",
+                        "RS119"):
+            assert retired not in out
 
     def test_repro_bench_analyze_delegates(self, tmp_path, capsys):
         from repro.cli import main as bench_main
@@ -828,6 +845,63 @@ class TestCLI:
         code = bench_main(["analyze", str(path), "--no-baseline"])
         assert code == EXIT_FINDINGS
         assert "RS104" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# SARIF export
+# ---------------------------------------------------------------------------
+
+class TestSarif:
+    def _findings(self):
+        return [AnalysisFinding(rule="RS101", path="repro/core/x.py",
+                                line=12, col=4, message="untimed matrix "
+                                "product", context="f")]
+
+    def test_log_validates_against_structural_schema(self):
+        log = to_sarif(self._findings(), all_rules())
+        assert validate_sarif(log) == []
+        assert log["version"] == "2.1.0"
+
+    def test_result_fields(self):
+        log = to_sarif(self._findings(), all_rules())
+        run = log["runs"][0]
+        ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
+        assert ids == sorted(ids)
+        assert set(all_rules()) <= set(ids)
+        res = run["results"][0]
+        assert res["ruleId"] == "RS101"
+        assert ids[res["ruleIndex"]] == "RS101"
+        loc = res["locations"][0]["physicalLocation"]
+        assert loc["artifactLocation"]["uri"] == "repro/core/x.py"
+        assert loc["region"] == {"startLine": 12, "startColumn": 5}
+        assert res["partialFingerprints"][
+            "reproAnalyzeFingerprint/v1"] == self._findings()[0].fingerprint()
+
+    def test_render_is_json(self):
+        text = render_sarif(self._findings(), all_rules())
+        assert validate_sarif(json.loads(text)) == []
+
+    def test_validator_rejects_malformed_logs(self):
+        assert validate_sarif({"version": "2.0.0", "runs": []})
+        assert validate_sarif({"version": "2.1.0"})
+        bad_region = to_sarif(self._findings(), all_rules())
+        bad_region["runs"][0]["results"][0]["locations"][0][
+            "physicalLocation"]["region"]["startLine"] = 0
+        assert any("startLine" in e for e in validate_sarif(bad_region))
+        bad_index = to_sarif(self._findings(), all_rules())
+        bad_index["runs"][0]["results"][0]["ruleIndex"] = 9999
+        assert any("ruleIndex" in e for e in validate_sarif(bad_index))
+
+    def test_cli_sarif_output(self, tmp_path, capsys, monkeypatch):
+        root = write_project(tmp_path / "proj",
+                             {"bad.py": _VIOLATIONS["RS104"]})
+        monkeypatch.chdir(tmp_path)
+        code = analyze_main([str(root), "--select", "RS104",
+                             "--format", "sarif", "--no-baseline"])
+        assert code == EXIT_FINDINGS
+        log = json.loads(capsys.readouterr().out)
+        assert validate_sarif(log) == []
+        assert log["runs"][0]["results"][0]["ruleId"] == "RS104"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Tests for the cost-consistency checks: the charged primitives that
 bill kernel dimensions read from their operands, the runtime cost
 audit (``--audit-costs``, which replaced the static drift rule RS124),
-and the per-file rules RS122, RS123 and RS125, with their incremental
-cache and SARIF export.
+and the per-file rules RS122, RS123 and RS125, with their SARIF
+export.
 
 Each rule gets at least one true-positive and one clean fixture, and —
 the load-bearing part — each check is mutation-tested against the real
@@ -22,9 +22,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import audit
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.cli import main as analyze_main
-from repro.analysis.engine import all_rules, analyze_paths, run_analysis
+from repro.analysis.engine import all_rules, analyze_paths
 from repro.analysis.findings import EXIT_CLEAN, EXIT_FINDINGS
 from repro.analysis.sarif import render_sarif, to_sarif, validate_sarif
 from repro.errors import ShapeError
@@ -248,7 +247,7 @@ class TestRS123:
 
 
 # ---------------------------------------------------------------------------
-# RS124: the runtime cost audit against the Figure 5 closed forms
+# --audit-costs: the runtime cost audit against the Figure 5 closed forms
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -268,7 +267,7 @@ def _drifting(out):
             if line.endswith("<-- DRIFT")}
 
 
-class TestRS124:
+class TestAuditCostsDrift:
     """Charged per-phase flops vs the Figure 5 closed forms, once a
     static rule (RS124) and now the runtime audit."""
 
@@ -459,12 +458,12 @@ class TestShapeMutationsRealTree:
         self._mutate(dest, "gpu/device.py", _GEMM_CHARGE,
                      "        if m > 64:\n    " + _GEMM_CHARGE)
         code, out = self._analyzer(tmp_path, "src/repro", "--select",
-                                   "RS123", "--no-baseline", "--no-cache")
+                                   "RS123", "--no-baseline")
         assert code == EXIT_FINDINGS, out
         found = [line for line in out.splitlines() if "RS123" in line]
         assert len(found) == 1 and "gpu/device.py" in found[0], out
 
-    def test_mischarged_coefficient_caught_by_rs124(self, tmp_path):
+    def test_mischarged_coefficient_caught_by_audit(self, tmp_path):
         dest = self._copy_tree(tmp_path)
         self._mutate(dest, "gpu/device.py", _GEMM_CHARGE,
                      _GEMM_CHARGE.replace("m, n, k", "m, n // 2, k"))
@@ -474,7 +473,7 @@ class TestShapeMutationsRealTree:
 
 
 # ---------------------------------------------------------------------------
-# Incremental cache: warm runs replay findings with zero parses
+# SARIF round-trip
 # ---------------------------------------------------------------------------
 
 _RS123_BAD = (
@@ -485,34 +484,6 @@ _RS123_BAD = (
     "            self._t_gemm(l, 3, 4, phase='sampling')\n"
     "        return _mm(omega, a, self.backend)\n")
 
-_CACHE_PROJ = {
-    "exec.py": _RS123_BAD,
-    "other.py": "def unrelated():\n    return 1\n",
-}
-
-
-class TestIncrementalCacheShapes:
-    def test_warm_run_has_zero_parses_and_identical_findings(
-            self, tmp_path):
-        root = write_project(tmp_path / "proj", _CACHE_PROJ)
-        cache = AnalysisCache(tmp_path / "cache")
-        first = run_analysis([root], root=root, select=SHAPE_RULES,
-                             cache=cache)
-        assert first.stats.parses == 2
-        assert rules_of(first.findings) == ["RS123"]
-
-        cache2 = AnalysisCache(tmp_path / "cache")
-        second = run_analysis([root], root=root, select=SHAPE_RULES,
-                              cache=cache2)
-        assert second.stats.parses == 0
-        assert second.stats.analyzed == 0
-        assert ([f.render() for f in second.findings]
-                == [f.render() for f in first.findings])
-
-
-# ---------------------------------------------------------------------------
-# SARIF round-trip
-# ---------------------------------------------------------------------------
 
 class TestShapeSarif:
     def test_shape_rules_are_in_the_driver_catalog(self):
@@ -524,8 +495,7 @@ class TestShapeSarif:
         root = write_project(tmp_path / "proj", {"exec.py": _RS123_BAD})
         monkeypatch.chdir(tmp_path)
         code = analyze_main([str(root), "--select", "RS123",
-                             "--format", "sarif", "--no-baseline",
-                             "--no-cache"])
+                             "--format", "sarif", "--no-baseline"])
         assert code == EXIT_FINDINGS
         log = json.loads(capsys.readouterr().out)
         assert validate_sarif(log) == []

@@ -178,6 +178,22 @@ class TestNumpyExecutorMath:
             self.ex.prng_gaussian(2, 3, symbolic=True)
 
 
+class TestTransfers:
+    def test_executor_transfers_are_bit_identical(self):
+        ex = NumpyExecutor(seed=0)
+        a = np.arange(12, dtype=np.float64).reshape(3, 4)
+        d = ex.to_device(a)
+        h = ex.to_host(d)
+        assert h.dtype == a.dtype
+        np.testing.assert_array_equal(h, a)
+
+    def test_symbolic_arrays_pass_through(self):
+        ex = NumpyExecutor(seed=0)
+        s = SymArray((64, 64))
+        assert ex.to_device(s) is s
+        assert ex.to_host(s) is s
+
+
 def _gallery_sample(name, m=300, n=120, l=28):
     """The sampled matrix Step 2 sees: Gaussian sketch + one power
     iteration of a gallery matrix, as in ``random_sampling``."""

@@ -56,8 +56,10 @@ class TestValidation:
                                                placements=[])
 
     def test_malformed_restore(self):
-        with pytest.raises(ConfigurationError):
-            StreamScheduler(ng=1).restore({"ready": {}})
+        # A snapshot missing a key, and arguments that are no dict.
+        for state in ({"ready": {}}, 5, "x", [1], None):
+            with pytest.raises(ConfigurationError):
+                StreamScheduler(ng=1).restore(state)
 
     def test_malformed_state_key(self):
         with pytest.raises(ConfigurationError):
