@@ -10,8 +10,9 @@ sinks agree bit for bit, the tree built from the log equals the one
 the eager per-charge algorithm built (also under a racing read), step
 aggregates count only accounted kernels, every sink rejects a
 non-finite charge, an unread run builds no span, executors seed
-their RNG only when a sampling matrix is actually drawn, and a real
-matrix charges exactly what a shape-only one of its size does.
+their RNG only when a sampling matrix is actually drawn, a real
+matrix charges exactly what a shape-only one of its size does, and
+rSVD and CUR charge the products they share with random sampling.
 """
 
 import hashlib
@@ -30,7 +31,9 @@ from repro.backends.base import ComputeBackend
 from repro.bench.harness import observed_fixed_rank, timed_fixed_rank
 from repro.config import AdaptiveConfig, SamplingConfig
 from repro.core.adaptive import adaptive_sampling
+from repro.core.cur import cur_decomposition
 from repro.core.random_sampling import random_sampling
+from repro.core.svd import randomized_svd
 from repro.errors import ConfigurationError, SymbolicExecutionError
 from repro.gpu.device import GPUExecutor, SimulatedGPU, SymArray
 from repro.gpu.multigpu import MultiGPUExecutor
@@ -601,3 +604,52 @@ class TestModeledClockIsShapeOnly:
         sym = random_sampling(SymArray((2000, 300)), cfg, executor=make())
         assert real.seconds == sym.seconds
         assert real.breakdown == sym.breakdown
+
+
+def _phase_flops(solver, a, cfg, executor):
+    """Per-phase FLOPs ``solver`` charges on ``executor``."""
+    rec = SpanRecorder()
+    executor.attach_recorder(rec)
+    solver(a, cfg, executor=executor)
+    return {phase: counter.flops for phase, counter in rec.counters.items()}
+
+
+class TestRealOnlySolversChargeTheirProducts:
+    """rSVD and CUR refuse symbolic input, so the shape-only comparison
+    above cannot see them.  Both are built from the same charged steps
+    as :func:`random_sampling`, so their per-phase FLOPs on real data
+    must equal sums of shape-only random-sampling runs: a product that
+    bypasses the executor drops out of its phase here."""
+
+    @pytest.mark.parametrize("executor", sorted(SHAPE_ONLY_EXECUTORS))
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_rsvd_adds_one_sampling_sized_gemm(self, power_matrix, q,
+                                               executor):
+        # Stage A is random sampling's Step 1; Stage B's Y = A B^T is
+        # one more GEMM of the Gaussian sampling GEMM's size.
+        cfg = SamplingConfig(rank=20, power_iterations=q, seed=3)
+        make = SHAPE_ONLY_EXECUTORS[executor]
+        ref = _phase_flops(random_sampling, SymArray((2000, 300)), cfg,
+                           make())
+        got = _phase_flops(randomized_svd, power_matrix, cfg, make())
+        assert got["prng"] == ref["prng"]
+        assert got["sampling"] == ref["sampling"]
+        assert got["gemm_iter"] == (ref.get("gemm_iter", 0.0)
+                                    + ref["sampling"])
+
+    @pytest.mark.parametrize("executor", sorted(SHAPE_ONLY_EXECUTORS))
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_cur_charges_a_pivot_pass_per_side(self, power_matrix, q,
+                                               executor):
+        # Column pivots come from A, row pivots from A^T: each pass is
+        # random sampling's Steps 1-2 on that shape.
+        cfg = SamplingConfig(rank=20, power_iterations=q, seed=3)
+        make = SHAPE_ONLY_EXECUTORS[executor]
+        cols = _phase_flops(random_sampling, SymArray((2000, 300)), cfg,
+                            make())
+        rows = _phase_flops(random_sampling, SymArray((300, 2000)), cfg,
+                            make())
+        got = _phase_flops(cur_decomposition, power_matrix, cfg, make())
+        for phase in ("sampling", "gemm_iter", "qrcp"):
+            assert got.get(phase, 0.0) == (cols.get(phase, 0.0)
+                                           + rows.get(phase, 0.0)), phase

@@ -6,7 +6,10 @@ end to end, including the self-check that the shipped ``src/repro``
 tree is clean against the committed baseline.
 """
 
+import ast
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +19,10 @@ import pytest
 from repro.analysis import allow_untimed_math
 from repro.analysis.baseline import (apply_baseline, load_baseline,
                                      update_baseline, write_baseline)
+from repro.analysis.cli import build_parser
 from repro.analysis.cli import main as analyze_main
-from repro.analysis.engine import all_rules, analyze_paths, parse_noqa
+from repro.analysis.engine import (_resolve_rules, all_rules, analyze_paths,
+                                   parse_noqa)
 from repro.analysis.findings import (EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS,
                                      AnalysisFinding)
 from repro.analysis.sarif import render_sarif, to_sarif, validate_sarif
@@ -628,6 +633,26 @@ class TestEngine:
         out = run_rule(tmp_path, src, select=["RS101"])
         assert [f.line for f in out] == sorted(f.line for f in out)
 
+    def test_each_file_is_parsed_once(self, tmp_path, monkeypatch):
+        # Every rule is per file, so one parse per file serves them all.
+        root = write_project(tmp_path, {
+            "repro/core/a.py": "import numpy as np\n"
+                               "def f(a, b):\n    return a @ b\n",
+            "repro/gpu/multigpu.py": "__all__ = []\n",
+            "benchmarks/test_x.py": "def test_x():\n    pass\n"})
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kw):
+            parsed.append(Path(filename).name)
+            return real_parse(source, filename, *args, **kw)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        findings = analyze_paths([root, root / "repro" / "core" / "a.py"],
+                                 root=root)
+        assert sorted(parsed) == ["a.py", "multigpu.py", "test_x.py"]
+        assert "RS101" in rules_of(findings)
+
 
 # ---------------------------------------------------------------------------
 # Baseline
@@ -947,3 +972,74 @@ class TestSelfCheck:
     def test_static_analysis_error_in_hierarchy(self):
         assert issubclass(StaticAnalysisError, ReproError)
         assert issubclass(StaticAnalysisError, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# The pre-commit hook and CI call the analyzer with flags that exist
+# ---------------------------------------------------------------------------
+
+_SHELL_STOP = ("|", "||", "&&", ";", ">", ">>", "2>&1")
+
+
+def _analyzer_args(command):
+    """Arguments of one ``python -m repro.analysis ...`` shell command,
+    cut at the first shell operator or redirect."""
+    words = shlex.split(command)
+    args = []
+    for word in words[words.index("repro.analysis") + 1:]:
+        if word in _SHELL_STOP or word.startswith(">"):
+            break
+        args.append(word)
+    return args
+
+
+def _ci_analyzer_commands():
+    """Every analyzer command in the CI workflow, continuations joined."""
+    text = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(
+        encoding="utf-8")
+    text = re.sub(r"\\\n\s*", " ", text)
+    return [line.strip() for line in text.splitlines()
+            if "python -m repro.analysis" in line]
+
+
+def _precommit_entry():
+    """The repro-analyze hook's ``entry``, folded onto one line."""
+    text = (REPO_ROOT / ".pre-commit-config.yaml").read_text(
+        encoding="utf-8")
+    m = re.search(r"^(\s*)entry:(.*?)\n(?=\1\w+:)", text,
+                  re.MULTILINE | re.DOTALL)
+    assert m, "no entry in .pre-commit-config.yaml"
+    return " ".join(m.group(2).split())
+
+
+class TestHookAndCIInvocations:
+    """argparse exits 2 on an unknown flag and the engine on an unknown
+    rule id, so a hook or CI step that names a retired one fails every
+    commit or every CI run."""
+
+    def test_ci_analyzer_commands_parse(self):
+        commands = _ci_analyzer_commands()
+        assert len(commands) >= 3, commands
+        for command in commands:
+            try:
+                ns = build_parser().parse_args(_analyzer_args(command))
+            except SystemExit:
+                pytest.fail(f"CI passes an unknown flag: {command}")
+            for rules in (ns.select, ns.ignore):
+                if rules:
+                    _resolve_rules(all_rules(), rules.split(","), None)
+            for path in ns.paths:
+                assert (REPO_ROOT / path).exists(), command
+
+    def test_precommit_entry_runs_clean(self, capsys, monkeypatch):
+        entry = _precommit_entry()
+        assert entry.startswith("python -m repro.analysis"), entry
+        # pre-commit appends the staged file names to the entry.
+        staged = [str(REPO_ROOT / "src" / "repro" / rel) for rel in (
+            "core/svd.py", "core/cur.py", "gpu/multigpu.py",
+            "gpu/streams.py", "analysis/engine.py")]
+        monkeypatch.chdir(REPO_ROOT)
+        code = analyze_main(_analyzer_args(entry) + staged)
+        out = capsys.readouterr().out
+        assert code == EXIT_CLEAN, out
+        assert "0 finding(s)" in out

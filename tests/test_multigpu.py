@@ -129,6 +129,35 @@ class TestTimingModel:
         assert multi < single
 
 
+class TestReducedBlocksComeHome:
+    """Each CPU reduction of the row-partitioned ``B`` (Step 1's
+    ``B = Omega A`` and every power iteration's ``B = C A``) hands the
+    host-resident sum back through ``to_host``, which records one d2h
+    transfer of the ``l x n`` block in ``BackendStats``.  Factors and
+    modeled seconds do not move when a download is skipped, so these
+    counters are where it shows."""
+
+    @pytest.mark.parametrize("ng", [1, 2, 3])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_each_reduction_downloads_b_once(self, ng, q):
+        a = np.random.default_rng(4).standard_normal((1200, 200))
+        cfg = SamplingConfig(rank=20, power_iterations=q, seed=3)
+        ex = MultiGPUExecutor(ng=ng, seed=3)
+        stats = ex.backend.stats
+        calls, nbytes = stats.d2h_calls, stats.d2h_bytes
+        random_sampling(a, cfg, executor=ex)
+        assert stats.d2h_calls - calls == 1 + q
+        assert stats.d2h_bytes - nbytes == (1 + q) * 8 * cfg.sample_size * 200
+
+    def test_symbolic_run_downloads_nothing(self):
+        cfg = SamplingConfig(rank=20, power_iterations=2, seed=3)
+        ex = MultiGPUExecutor(ng=2, seed=3)
+        stats = ex.backend.stats
+        calls, nbytes = stats.d2h_calls, stats.d2h_bytes
+        random_sampling(SymArray((1200, 200)), cfg, executor=ex)
+        assert (stats.d2h_calls, stats.d2h_bytes) == (calls, nbytes)
+
+
 class TestCPUSpec:
     def test_seconds_positive(self):
         cpu = CPUSpec()
