@@ -11,6 +11,7 @@ modeled phase breakdown the paper plots.  Numerics experiments
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -51,7 +52,8 @@ class FixedRankTiming:
     ng: int
     total: float
     breakdown: Dict[str, float] = field(default_factory=dict)
-    #: Observability aggregates (filled when a recorder watched the run).
+    #: Run aggregates, read from the executor's timeline and device
+    #: memory.
     flops: float = 0.0
     bytes_moved: float = 0.0
     gflops: float = 0.0
@@ -78,14 +80,15 @@ def timed_fixed_rank(m: int, n: int, k: int = 54, p: int = 10, q: int = 1,
     """Run the fixed-rank algorithm symbolically on the simulated
     device(s) and return the modeled phase breakdown.
 
-    Every run is watched by a :class:`repro.obs.spans.SpanRecorder`
-    (pass ``recorder`` to supply your own and read its span tree; the
-    default one is never read, so it builds no span); the returned
-    timing carries the recorder's aggregates (FLOPs, bytes moved,
-    achieved Gflop/s, peak device memory).  ``overlap`` selects
-    the multi-GPU stream schedule: ``True`` pipelines compute against
-    communication (the paper's runtime), ``False`` is the serial-sum
-    ablation; phase breakdowns are identical either way.
+    The returned timing carries the run's aggregates (FLOPs, bytes
+    moved, achieved Gflop/s, peak device memory), read from the
+    executor's timeline and device memory.  Pass ``recorder`` (a
+    :class:`repro.obs.spans.SpanRecorder`) to read the run's span tree
+    as well; without one, nothing records the run kernel by kernel.
+    ``overlap`` selects the multi-GPU stream schedule: ``True``
+    pipelines compute against communication (the paper's runtime),
+    ``False`` is the serial-sum ablation; phase breakdowns are
+    identical either way.
 
     ``backend`` picks the compute backend the (non-symbolic parts of
     the) math runs on — ``None`` means the session default, the
@@ -96,44 +99,57 @@ def timed_fixed_rank(m: int, n: int, k: int = 54, p: int = 10, q: int = 1,
     ``race_check=True`` (multi-GPU runs only) attaches a happens-before
     :class:`repro.analysis.races.RaceChecker` to the stream scheduler
     in collecting mode; detected races land in ``recorder.races`` and
-    the full report in ``recorder.race_report``.  Observation-only:
-    modeled totals are unchanged.
+    the full report in ``recorder.race_report``, so it needs a
+    ``recorder`` and raises :class:`repro.errors.ConfigurationError`
+    without one.  Observation-only: modeled totals are unchanged.
     """
+    if race_check and recorder is None:
+        raise ConfigurationError(
+            "race_check needs a recorder: the race report lands on "
+            "recorder.race_report")
     if ng == 1:
         ex: NumpyExecutor = GPUExecutor(spec=spec, seed=seed,
                                         backend=backend)
     else:
         ex = MultiGPUExecutor(ng=ng, spec=spec, seed=seed, overlap=overlap,
                               backend=backend)
-    rec = recorder if recorder is not None else SpanRecorder()
-    ex.attach_recorder(rec)
-    rec.note_backend(ex.backend)
     checker = None
-    if race_check and hasattr(ex, "streams"):
-        from ..analysis.races import RaceChecker
-        checker = RaceChecker()
-        ex.streams.attach_race_checker(checker)
+    watch = nullcontext()
+    if recorder is not None:
+        ex.attach_recorder(recorder)
+        recorder.note_backend(ex.backend)
+        if race_check and hasattr(ex, "streams"):
+            from ..analysis.races import RaceChecker
+            checker = RaceChecker()
+            ex.streams.attach_race_checker(checker)
+        watch = recorder.run_span(
+            f"fixed-rank m={m} n={n} k={k} q={q} ng={ng}")
     cfg = SamplingConfig(rank=k, oversampling=p, power_iterations=q,
                          sampler=sampler, seed=seed,
                          backend=ex.backend.name)
-    run_name = f"fixed-rank m={m} n={n} k={k} q={q} ng={ng}"
-    with rec.run_span(run_name):
+    with watch:
         res = random_sampling(SymArray((m, n)), cfg, executor=ex)
     if checker is not None:
-        rec.race_report = checker.report()
+        recorder.race_report = checker.report()
     elif race_check:
-        rec.race_report = {"version": 1, "race_count": 0, "races": [],
-                           "submissions": 0, "buffers": [], "lanes": [],
-                           "note": "single-device run: no stream "
-                                   "scheduler, nothing to race"}
+        recorder.race_report = {"version": 1, "race_count": 0, "races": [],
+                                "submissions": 0, "buffers": [], "lanes": [],
+                                "note": "single-device run: no stream "
+                                        "scheduler, nothing to race"}
+    # Summed in first-charge order, the order `counters` keeps: the
+    # committed BENCH baselines hold these sums' bits.
+    counters = ex.timeline.counters.values()
+    seconds = sum(c.seconds for c in counters)
+    flops = sum(c.flops for c in counters)
     return FixedRankTiming(m=m, n=n, k=k, sample_size=cfg.sample_size, q=q,
                            ng=ng, total=res.seconds,
                            breakdown={ph: s for ph, s in res.breakdown.items()
                                       if s > 0.0},
-                           flops=rec.total_flops,
-                           bytes_moved=rec.total_bytes_moved,
-                           gflops=rec.achieved_gflops(),
-                           peak_memory_bytes=rec.peak_memory_bytes)
+                           flops=flops,
+                           bytes_moved=sum(c.bytes_moved for c in counters),
+                           gflops=(flops / (seconds * 1e9) if seconds > 0
+                                   else 0.0),
+                           peak_memory_bytes=ex.device.memory.high_water)
 
 
 #: Representative single run per phase-breakdown figure, used by

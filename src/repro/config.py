@@ -36,9 +36,12 @@ ORTH_SCHEMES = ("cholqr", "cholqr2", "householder", "cgs", "mgs", "tsqr",
 SAMPLER_KINDS = ("gaussian", "fft")
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args) -> None:
+    """Raise :class:`ConfigurationError` unless ``cond``.  ``msg`` is a
+    :meth:`str.format` template filled from ``args`` only when the
+    check fails, so a passing check formats nothing."""
     if not cond:
-        raise ConfigurationError(msg)
+        raise ConfigurationError(msg.format(*args))
 
 
 def _require_backend(name: Optional[str]) -> None:
@@ -48,9 +51,10 @@ def _require_backend(name: Optional[str]) -> None:
     if name is None:
         return
     from .backends import BACKENDS
-    _require(name == "auto" or name in BACKENDS,
-             f"backend must be 'auto' or one of {tuple(BACKENDS)}, "
-             f"got {name!r}")
+    if name != "auto" and name not in BACKENDS:
+        raise ConfigurationError(
+            f"backend must be 'auto' or one of {tuple(BACKENDS)}, "
+            f"got {name!r}")
 
 
 def sample_infeasibility(k: int, l: int, m: int, n: int,
@@ -120,15 +124,17 @@ class SamplingConfig:
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _require(self.rank >= 1, f"rank must be >= 1, got {self.rank}")
+        _require(self.rank >= 1, "rank must be >= 1, got {}", self.rank)
         _require(self.oversampling >= 0,
-                 f"oversampling must be >= 0, got {self.oversampling}")
+                 "oversampling must be >= 0, got {}", self.oversampling)
         _require(self.power_iterations >= 0,
-                 f"power_iterations must be >= 0, got {self.power_iterations}")
+                 "power_iterations must be >= 0, got {}",
+                 self.power_iterations)
         _require(self.sampler in SAMPLER_KINDS,
-                 f"sampler must be one of {SAMPLER_KINDS}, got {self.sampler!r}")
+                 "sampler must be one of {}, got {!r}", SAMPLER_KINDS,
+                 self.sampler)
         _require(self.orth in ORTH_SCHEMES,
-                 f"orth must be one of {ORTH_SCHEMES}, got {self.orth!r}")
+                 "orth must be one of {}, got {!r}", ORTH_SCHEMES, self.orth)
         _require_backend(self.backend)
 
     @property
@@ -195,16 +201,17 @@ class AdaptiveConfig:
 
     def __post_init__(self) -> None:
         _require(self.tolerance > 0.0,
-                 f"tolerance must be positive, got {self.tolerance}")
-        _require(self.l_init >= 1, f"l_init must be >= 1, got {self.l_init}")
-        _require(self.l_inc >= 1, f"l_inc must be >= 1, got {self.l_inc}")
+                 "tolerance must be positive, got {}", self.tolerance)
+        _require(self.l_init >= 1, "l_init must be >= 1, got {}", self.l_init)
+        _require(self.l_inc >= 1, "l_inc must be >= 1, got {}", self.l_inc)
         _require(self.step_rule in ("static", "interpolate"),
-                 f"step_rule must be 'static' or 'interpolate', "
-                 f"got {self.step_rule!r}")
+                 "step_rule must be 'static' or 'interpolate', got {!r}",
+                 self.step_rule)
         _require(self.power_iterations >= 0,
-                 f"power_iterations must be >= 0, got {self.power_iterations}")
+                 "power_iterations must be >= 0, got {}",
+                 self.power_iterations)
         _require(self.orth in ORTH_SCHEMES,
-                 f"orth must be one of {ORTH_SCHEMES}, got {self.orth!r}")
+                 "orth must be one of {}, got {!r}", ORTH_SCHEMES, self.orth)
         if self.max_subspace is not None:
             _require(self.max_subspace >= self.l_init,
                      "max_subspace must be >= l_init")
@@ -236,9 +243,9 @@ class QRCPConfig:
 
     def __post_init__(self) -> None:
         _require(self.block_size >= 1,
-                 f"block_size must be >= 1, got {self.block_size}")
+                 "block_size must be >= 1, got {}", self.block_size)
         if self.truncate is not None:
             _require(self.truncate >= 1,
-                     f"truncate must be >= 1, got {self.truncate}")
+                     "truncate must be >= 1, got {}", self.truncate)
         _require(0.0 < self.norm_recompute_tol <= 1.0,
                  "norm_recompute_tol must be in (0, 1]")

@@ -12,7 +12,7 @@ Modules
 -------
 - :mod:`repro.gpu.specs` — hardware constants and calibration anchors.
 - :mod:`repro.gpu.kernels` — kernel rate models (seconds per call).
-- :mod:`repro.gpu.trace` — phase-tagged timelines.
+- :mod:`repro.gpu.trace` — per-phase counters (the device timeline).
 - :mod:`repro.gpu.memory` — device memory accounting and transfers.
 - :mod:`repro.gpu.device` — the simulated device + executors.
 - :mod:`repro.gpu.streams` — stream/event scheduler (critical path).
@@ -22,7 +22,7 @@ Modules
 from .specs import (GPUSpec, KEPLER_K40C, PASCAL_P100_PROJECTION,
                     AnchorCurve, scaled_spec)
 from .kernels import KernelModel
-from .trace import TimeLine, Phase, PHASES
+from .trace import TimeLine, PhaseCounter, PHASES
 from .memory import DeviceMemory, TransferModel
 from .device import SymArray, SimulatedGPU, NumpyExecutor, GPUExecutor
 from .streams import StreamEvent, StreamScheduler
@@ -35,7 +35,7 @@ __all__ = [
     "AnchorCurve",
     "KernelModel",
     "TimeLine",
-    "Phase",
+    "PhaseCounter",
     "PHASES",
     "DeviceMemory",
     "TransferModel",

@@ -216,10 +216,12 @@ def _words_bytes(flops: float, *operand_elems: int) -> float:
 class SimulatedGPU:
     """One simulated device: kernel model + timeline + memory.
 
-    A :class:`repro.obs.spans.SpanRecorder` attached via
-    :meth:`attach_recorder` logs every :meth:`charge` as a kernel
-    carrying the FLOP/bytes estimates and the memory high-water mark
-    sampled at charge time.
+    Every :meth:`charge` lands in :attr:`timeline`, the device's
+    per-phase counters (seconds, calls, FLOPs, bytes moved).  A
+    :class:`repro.obs.spans.SpanRecorder` attached via
+    :meth:`attach_recorder` also logs it as a kernel carrying the
+    FLOP/bytes estimates and the memory high-water mark sampled at
+    charge time.
     """
 
     def __init__(self, spec: GPUSpec = KEPLER_K40C, device_id: int = 0):
@@ -246,8 +248,8 @@ class SimulatedGPU:
                flops: float = 0.0, bytes_moved: float = 0.0,
                labels: Sequence[str] = ()) -> None:
         # The timeline checks the phase and the seconds before anything
-        # lands, so a bad charge reaches neither sink.
-        self.timeline.charge(phase, seconds)
+        # lands, so a bad charge reaches neither it nor the recorder.
+        self.timeline.charge(phase, seconds, flops, bytes_moved)
         if self.recorder is not None:
             self.recorder.record_kernel(
                 phase=phase, label=label or phase, seconds=seconds,

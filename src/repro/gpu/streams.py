@@ -20,13 +20,13 @@ exactly that for the simulated devices of
   sum.
 
 Accounting is unchanged from the serial model: each submission charges
-its modeled seconds to the master :class:`repro.gpu.trace.TimeLine`
-exactly once, so the per-phase breakdown is identical under
-``overlap=on`` and ``overlap=off``; only :attr:`StreamScheduler.elapsed`
-(the DAG's critical path) differs.  Symmetric per-device work can be
-mirrored onto the other devices' streams as *unaccounted* spans so the
-Chrome-trace export shows every device's occupancy without double
-counting.
+its modeled seconds, FLOPs and bytes to the master
+:class:`repro.gpu.trace.TimeLine` exactly once, so the per-phase
+breakdown is identical under ``overlap=on`` and ``overlap=off``; only
+:attr:`StreamScheduler.elapsed` (the DAG's critical path) differs.
+Symmetric per-device work can be mirrored onto the other devices'
+streams as *unaccounted* spans so the Chrome-trace export shows every
+device's occupancy without double counting.
 
 The scheduler operates purely on the *modeled* clock: placements are
 derived from shapes and the kernel rate models, never from which
@@ -277,7 +277,7 @@ class StreamScheduler:
         self._frontier = max(self._frontier, end)
         self._submissions += 1
         if account:
-            self.timeline.charge(phase, seconds)
+            self.timeline.charge(phase, seconds, flops, bytes_moved)
         if self.recorder is not None:
             for device, stream, accounted in record_on:
                 hw = (self.memory_probe(device)
@@ -304,26 +304,12 @@ class StreamScheduler:
         """Total seconds occupying one stream (its utilization)."""
         return self._busy.get(self._key(device, stream), 0.0)
 
-    # -- replay / resume ---------------------------------------------------
-    @staticmethod
-    def _parse_key(key) -> Tuple[int, str]:
-        """Accept both snapshot key forms: the legacy in-memory
-        ``(device, stream)`` tuple and the JSON-portable ``"device:stream"``
-        string that :meth:`state` now emits."""
-        if isinstance(key, str):
-            device, sep, stream = key.partition(":")
-            if not sep:
-                raise ConfigurationError(f"bad resource key {key!r}")
-            return int(device), stream
-        device, stream = key
-        return int(device), stream
-
+    # -- replay ------------------------------------------------------------
     def state(self) -> Dict:
-        """Snapshot of the schedule clock (resume/replay).
+        """Snapshot of the schedule clock, for comparing schedules.
 
         Resource keys are stringified as ``"device:stream"`` so the
-        snapshot survives ``json.dumps``/``json.loads`` unchanged —
-        replay state can be persisted to disk between processes.
+        snapshot survives ``json.dumps``/``json.loads`` unchanged.
         """
         return {"ready": {f"{d}:{s}": t
                           for (d, s), t in self._ready.items()},
@@ -331,22 +317,6 @@ class StreamScheduler:
                          for (d, s), t in self._busy.items()},
                 "frontier": self._frontier,
                 "submissions": self._submissions}
-
-    def restore(self, state: Dict) -> None:
-        """Resume from a :meth:`state` snapshot: subsequent submissions
-        schedule exactly as if the run had never been interrupted.
-        Accepts both the JSON string-keyed form and the legacy
-        tuple-keyed form."""
-        try:
-            self._ready = {self._key(*self._parse_key(k)): float(t)
-                           for k, t in state["ready"].items()}
-            self._busy = {self._key(*self._parse_key(k)): float(t)
-                          for k, t in state["busy"].items()}
-            self._frontier = float(state["frontier"])
-            self._submissions = int(state["submissions"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"malformed scheduler state: {exc}") from None
 
     def reset(self, timeline: Optional[TimeLine] = None) -> None:
         """Fresh clock (and optionally a fresh master timeline)."""

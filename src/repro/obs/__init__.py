@@ -3,10 +3,11 @@
 Layers (see ``docs/observability.md``):
 
 - :mod:`repro.obs.spans` — a flat log of every modeled kernel, next
-  to the :class:`repro.gpu.trace.TimeLine` phase accounting, with
-  per-phase counters (calls, FLOPs, bytes moved) and the device memory
-  high-water mark; the hierarchical run → step → kernel span tree is
-  built from the log when it is read.  A
+  to the per-phase counters (:class:`repro.gpu.trace.PhaseCounter`:
+  seconds, calls, FLOPs, bytes moved) that each device's
+  :class:`repro.gpu.trace.TimeLine` keeps; kernels carry the device
+  memory high-water mark, and the hierarchical run → step → kernel
+  span tree is built from the log when it is read.  A
   :class:`~repro.obs.spans.RecorderSink` keeps the recorders of the
   most recent units of work (serve plans) and frees older ones.
 - :mod:`repro.obs.chrome` — Chrome trace-event export of a recorded
@@ -18,7 +19,8 @@ Layers (see ``docs/observability.md``):
   perf-regression gate (``repro-bench obs diff``).
 """
 
-from .spans import PhaseCounter, RecorderSink, Span, SpanRecorder
+from ..gpu.trace import PhaseCounter
+from .spans import RecorderSink, Span, SpanRecorder
 from .chrome import (chrome_document, spans_to_chrome,
                      validate_chrome_trace, write_chrome_trace)
 from .artifact import (ARTIFACT_KIND, SCHEMA_VERSION, attach_series,

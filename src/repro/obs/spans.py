@@ -24,14 +24,14 @@ the other devices, which appear in the tree and the Chrome trace but
 never in the totals.
 
 Recording does not build the tree.  Each charge appends one tuple to
-a flat log and updates the clock, the per-phase counters and the
-peak-memory mark; opening and ending a run append a marker.  The tree
-is built from the log the first time something reads it
-(:attr:`SpanRecorder.runs`, :meth:`SpanRecorder.spans`,
-:meth:`SpanRecorder.kernel_spans` and the Chrome export on top of
-them), and each later read converts only the entries logged since.  A
-run nobody reads, such as every point of the Figure 11-15 sweeps,
-builds no span at all.
+a flat log and updates the clock and the per-phase counters; opening
+and ending a run append a marker.  The tree is built from the log the
+first time something reads it (:attr:`SpanRecorder.runs`,
+:meth:`SpanRecorder.spans`, :meth:`SpanRecorder.kernel_spans` and the
+Chrome export on top of them), and each later read converts only the
+entries logged since.  A run's totals need no recorder: the device
+:class:`repro.gpu.trace.TimeLine` counts every charge itself, so the
+points of the Figure 11-15 sweeps attach none.
 
 A long-lived caller keeps its memory bounded with a
 :class:`RecorderSink`: one recorder per unit of work, and only the
@@ -43,15 +43,14 @@ from __future__ import annotations
 import threading
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import islice
 from math import inf
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..gpu.trace import PHASES
+from ..gpu.trace import PHASES, PhaseCounter
 
-__all__ = ["Span", "PhaseCounter", "SpanRecorder", "RecorderSink"]
+__all__ = ["Span", "SpanRecorder", "RecorderSink"]
 
 SPAN_KINDS = ("run", "step", "kernel")
 
@@ -145,26 +144,6 @@ class Span:
         }
 
 
-@dataclass
-class PhaseCounter:
-    """Aggregated per-phase counters across one recorded run."""
-
-    seconds: float = 0.0
-    calls: int = 0
-    flops: float = 0.0
-    bytes_moved: float = 0.0
-
-    def add(self, seconds: float, flops: float, bytes_moved: float) -> None:
-        self.seconds += seconds
-        self.calls += 1
-        self.flops += flops
-        self.bytes_moved += bytes_moved
-
-    def to_dict(self) -> Dict:
-        return {"seconds": self.seconds, "calls": self.calls,
-                "flops": self.flops, "bytes_moved": self.bytes_moved}
-
-
 def _merge(previous: Tuple[str, ...], labels: Sequence) -> Tuple[str, ...]:
     """``previous`` followed by the new (stringified) ``labels``."""
     merged = list(previous)
@@ -210,8 +189,9 @@ class SpanRecorder:
         #: recorder can start past 0 to continue another's timeline
         #: (see :class:`RecorderSink`).
         self.clock = clock
+        #: Per-phase counters of the accounted kernels, in first-charge
+        #: order (the device timelines count the same charges).
         self.counters: Dict[str, PhaseCounter] = {}
-        self.peak_memory_bytes = 0
         #: Races mirrored from an attached stream-scheduler race checker
         #: (dicts in the :meth:`repro.analysis.races.Race.to_dict`
         #: shape), so the artifact carries them next to the spans.
@@ -320,14 +300,14 @@ class SpanRecorder:
         ``stream`` name); the clock then advances to the max end seen,
         i.e. the critical path.  ``accounted=False`` records a mirror
         span (symmetric work on another device) that never touches the
-        counters, the clock, the step's flop/byte aggregates, or the
-        peak-memory aggregate.  ``labels`` (merged with any open
-        :meth:`labelled` context) tag the span with request/run
-        identifiers for the Chrome-trace export.
+        counters, the clock, or the step's flop/byte aggregates.
+        ``labels`` (merged with any open :meth:`labelled` context) tag
+        the span with request/run identifiers for the Chrome-trace
+        export.
 
         This runs once per modeled charge, so past the checks it only
-        appends one log entry and updates the clock, the phase's
-        counter and the peak-memory mark.  It builds no span.
+        appends one log entry and updates the clock and the phase's
+        counter.  It builds no span.
         """
         if phase not in PHASES:
             raise ConfigurationError(
@@ -354,28 +334,6 @@ class SpanRecorder:
             if counter is None:
                 counter = self.counters[phase] = PhaseCounter()
             counter.add(seconds, flops, bytes_moved)
-            high_water = int(memory_high_water)
-            if high_water > self.peak_memory_bytes:
-                self.peak_memory_bytes = high_water
-
-    # -- aggregate views ---------------------------------------------------
-    @property
-    def total(self) -> float:
-        """Total modeled seconds across every recorded kernel."""
-        return sum(c.seconds for c in self.counters.values())
-
-    @property
-    def total_flops(self) -> float:
-        return sum(c.flops for c in self.counters.values())
-
-    @property
-    def total_bytes_moved(self) -> float:
-        return sum(c.bytes_moved for c in self.counters.values())
-
-    def achieved_gflops(self) -> float:
-        """FLOPs over modeled seconds (0 when nothing was timed)."""
-        t = self.total
-        return self.total_flops / (t * 1e9) if t > 0 else 0.0
 
     # -- the span tree, built on read -------------------------------------
     @property

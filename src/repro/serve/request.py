@@ -45,9 +45,12 @@ def next_request_id(prefix: str = "req") -> str:
     return f"{prefix}-{next(_REQUEST_COUNTER):06d}"
 
 
-def _invalid(cond: bool, msg: str) -> None:
+def _invalid(cond: bool, msg: str, *args) -> None:
+    """Raise :class:`InvalidRequestError` unless ``cond``.  ``msg`` is a
+    :meth:`str.format` template filled from ``args`` only when the
+    check fails, so a passing check formats nothing."""
     if not cond:
-        raise InvalidRequestError(msg)
+        raise InvalidRequestError(msg.format(*args))
 
 
 @dataclass(frozen=True)
@@ -69,11 +72,13 @@ class MatrixRef:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _invalid(self.name in list_matrices(),
-                 f"unknown gallery matrix {self.name!r}; available: "
-                 f"{list_matrices()}")
+        names = list_matrices()
+        _invalid(self.name in names,
+                 "unknown gallery matrix {!r}; available: {}", self.name,
+                 names)
         _invalid(self.m >= 1 and self.n >= 1,
-                 f"matrix shape must be positive, got {self.m} x {self.n}")
+                 "matrix shape must be positive, got {} x {}", self.m,
+                 self.n)
 
     @property
     def key(self) -> Tuple[str, int, int, int]:
@@ -133,33 +138,34 @@ class DecompRequest:
 
     def __post_init__(self) -> None:
         _invalid(self.algorithm in ALGORITHMS,
-                 f"algorithm must be one of {ALGORITHMS}, got "
-                 f"{self.algorithm!r}")
+                 "algorithm must be one of {}, got {!r}", ALGORITHMS,
+                 self.algorithm)
         _invalid(self.sampler in SAMPLER_KINDS,
-                 f"sampler must be one of {SAMPLER_KINDS}, got "
-                 f"{self.sampler!r}")
+                 "sampler must be one of {}, got {!r}", SAMPLER_KINDS,
+                 self.sampler)
         _invalid(self.oversampling >= 0,
-                 f"oversampling must be >= 0, got {self.oversampling}")
+                 "oversampling must be >= 0, got {}", self.oversampling)
         _invalid(self.power_iterations >= 0,
-                 f"power_iterations must be >= 0, got "
-                 f"{self.power_iterations}")
+                 "power_iterations must be >= 0, got {}",
+                 self.power_iterations)
         if self.algorithm == "fixed_rank":
             _invalid(self.rank is not None and self.rank >= 1,
                      "fixed_rank requests need rank >= 1")
             problem = sample_infeasibility(
                 self.rank, self.sample_size, self.matrix.m, self.matrix.n,
                 within_n=self.power_iterations >= 1)
-            _invalid(problem is None, str(problem))
+            if problem is not None:
+                raise InvalidRequestError(problem)
         elif self.algorithm == "adaptive":
             _invalid(self.tolerance is not None and self.tolerance > 0,
                      "adaptive requests need tolerance > 0")
         else:  # cholqr
             _invalid(self.matrix.m >= self.matrix.n,
                      "cholqr path factors the full matrix and needs "
-                     f"m >= n, got {self.matrix.m} x {self.matrix.n}")
+                     "m >= n, got {} x {}", self.matrix.m, self.matrix.n)
         if self.deadline_s is not None:
             _invalid(self.deadline_s > 0,
-                     f"deadline_s must be positive, got {self.deadline_s}")
+                     "deadline_s must be positive, got {}", self.deadline_s)
         _invalid(bool(self.request_id),
                  "request_id must be a non-empty string")
 

@@ -1,18 +1,22 @@
 """Tests for the modeled-clock accounting hot path.
 
-One modeled charge lands in two sinks — the device
-:class:`repro.gpu.trace.TimeLine` and the attached
-:class:`repro.obs.spans.SpanRecorder`.  The recorder appends each
-charge to a flat kernel log and builds the tree of slotted
-:class:`repro.obs.spans.Span` objects only when it is read.  These
-tests pin what must not move while that path is kept cheap: the two
-sinks agree bit for bit, the tree built from the log equals the one
-the eager per-charge algorithm built (also under a racing read), step
-aggregates count only accounted kernels, every sink rejects a
-non-finite charge, an unread run builds no span, executors seed
-their RNG only when a sampling matrix is actually drawn, a real
-matrix charges exactly what a shape-only one of its size does, and
-rSVD and CUR charge the products they share with random sampling.
+Every modeled charge lands in the device
+:class:`repro.gpu.trace.TimeLine`, the one per-phase counter sink
+(seconds, calls, FLOPs, bytes moved).  A
+:class:`repro.obs.spans.SpanRecorder`, when a caller attaches one,
+also appends the charge to a flat kernel log and builds the tree of
+slotted :class:`repro.obs.spans.Span` objects only when it is read.
+These tests pin what must not move while that path is kept cheap: the
+timeline and an attached recorder agree bit for bit, a
+``timed_fixed_rank`` run returns the same timing with or without a
+recorder and records nothing without one, the tree built from the log
+equals the one the eager per-charge algorithm built (also under a
+racing read), step aggregates count only accounted kernels, every
+sink rejects a non-finite charge, an unread run builds no span,
+executors seed their RNG only when a sampling matrix is actually
+drawn, a real matrix charges exactly what a shape-only one of its
+size does, and rSVD and CUR charge the products they share with
+random sampling.
 """
 
 import hashlib
@@ -383,7 +387,7 @@ class TestKernelLog:
 
 
 # ---------------------------------------------------------------------------
-# The two sinks agree bit for bit
+# The timeline and an attached recorder agree bit for bit
 # ---------------------------------------------------------------------------
 
 def _symbolic_run(m, n, k, q, ng=1, overlap=True):
@@ -423,9 +427,51 @@ class TestSinksAgree:
             if counter is None:
                 assert ex.timeline.calls(phase) == 0
                 continue
-            assert counter.seconds == ex.timeline.seconds(phase)
-            assert counter.calls == ex.timeline.calls(phase)
+            mine = ex.timeline.counters[phase]
+            assert counter.seconds == mine.seconds
+            assert counter.calls == mine.calls
+            assert counter.flops == mine.flops
+            assert counter.bytes_moved == mine.bytes_moved
+        # Same phases, first charged in the same order.
+        assert list(rec.counters) == list(ex.timeline.counters)
         assert rec.counters  # the run charged something
+
+
+# ---------------------------------------------------------------------------
+# timed_fixed_rank reads the timeline; a recorder only watches
+# ---------------------------------------------------------------------------
+
+TIMING_POINTS = {**SINK_POINTS,
+                 "fig11 fft": dict(m=50_000, n=2_500, k=54, q=1,
+                                   sampler="fft")}
+
+
+class TestTimingWithoutRecorder:
+    @pytest.mark.parametrize("point", sorted(TIMING_POINTS))
+    def test_recorder_leaves_the_timing_unchanged(self, point):
+        plain = timed_fixed_rank(**TIMING_POINTS[point])
+        watched = timed_fixed_rank(**TIMING_POINTS[point],
+                                   recorder=SpanRecorder())
+        assert plain == watched      # every field, bit for bit
+        assert plain.flops > 0 and plain.peak_memory_bytes > 0
+
+    @pytest.mark.parametrize("ng", [1, 3])
+    def test_plain_run_records_no_kernel(self, ng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(SpanRecorder, "record_kernel",
+                            lambda self, *a, **kw: calls.append(a))
+        timing = timed_fixed_rank(m=150_000, n=2_500, ng=ng)
+        assert calls == []
+        assert timing.total > 0 and timing.flops > 0
+        # The patch sees kernels: a watched run records them.
+        timed_fixed_rank(m=150_000, n=2_500, ng=ng,
+                         recorder=SpanRecorder())
+        assert calls
+
+    @pytest.mark.parametrize("ng", [1, 3])
+    def test_race_check_needs_a_recorder(self, ng):
+        with pytest.raises(ConfigurationError, match="needs a recorder"):
+            timed_fixed_rank(m=150_000, n=2_500, ng=ng, race_check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +482,15 @@ class TestStepAggregates:
     @pytest.mark.parametrize("ng", [1, 2, 3])
     @pytest.mark.parametrize("overlap", [True, False])
     def test_step_flops_sum_to_counter_total(self, ng, overlap):
-        _, rec = observed_fixed_rank("fig15", ng=ng, overlap=overlap)
+        timing, rec = observed_fixed_rank("fig15", ng=ng, overlap=overlap)
         steps = [s for run in rec.spans() for s in run.children]
         assert all(s.kind == "step" for s in steps)
-        total = rec.total_flops
+        total = timing.flops
         assert total > 0
         assert sum(s.flops for s in steps) == pytest.approx(total,
                                                             rel=1e-12)
         assert sum(s.bytes_moved for s in steps) == pytest.approx(
-            rec.total_bytes_moved, rel=1e-12)
+            timing.bytes_moved, rel=1e-12)
 
     def test_mirror_span_leaves_step_aggregates_alone(self):
         rec = SpanRecorder()
@@ -458,7 +504,7 @@ class TestStepAggregates:
         (step,) = run.children
         assert mirror in step.children
         assert (step.flops, step.bytes_moved) == (4.0, 8.0)
-        assert rec.total_flops == 4.0
+        assert rec.counters["sampling"].flops == 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +517,7 @@ class TestNonFiniteCharges:
         tl = TimeLine()
         with pytest.raises(ConfigurationError, match="finite"):
             tl.charge("qr", bad)
-        assert tl.total == 0.0 and tl.stats() == {}
+        assert tl.total == 0.0 and tl.counters == {}
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_simulated_gpu_charge(self, bad):

@@ -29,16 +29,25 @@ class TestSamplingConfig:
         assert cfg2.seed == 3
         assert cfg.rank == 10  # frozen original untouched
 
-    @pytest.mark.parametrize("kwargs", [
-        {"rank": 0}, {"rank": -3},
-        {"rank": 5, "oversampling": -1},
-        {"rank": 5, "power_iterations": -1},
-        {"rank": 5, "sampler": "bogus"},
-        {"rank": 5, "orth": "bogus"},
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rank": 0}, "rank must be >= 1, got 0"),
+        ({"rank": -3}, "rank must be >= 1, got -3"),
+        ({"rank": 5, "oversampling": -1},
+         "oversampling must be >= 0, got -1"),
+        ({"rank": 5, "power_iterations": -1},
+         "power_iterations must be >= 0, got -1"),
+        ({"rank": 5, "sampler": "bogus"},
+         f"sampler must be one of {SAMPLER_KINDS}, got 'bogus'"),
+        ({"rank": 5, "orth": "bogus"},
+         f"orth must be one of {ORTH_SCHEMES}, got 'bogus'"),
+        ({"rank": 5, "backend": "bogus"},
+         "backend must be 'auto' or one of ('simulated', 'numpy', "
+         "'torch', 'cupy'), got 'bogus'"),
     ])
-    def test_invalid_raises(self, kwargs):
-        with pytest.raises(ConfigurationError):
+    def test_invalid_raises(self, kwargs, message):
+        with pytest.raises(ConfigurationError) as err:
             SamplingConfig(**kwargs)
+        assert str(err.value) == message
 
     def test_validate_for_shapes(self):
         cfg = SamplingConfig(rank=50, oversampling=10)

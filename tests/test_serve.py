@@ -21,7 +21,7 @@ from repro.errors import (CholeskyBreakdownError, ConfigurationError,
                           QueueFullError, REJECTION_REASONS,
                           ServiceClosedError)
 from repro.matrices.registry import (clear_matrix_cache, get_matrix,
-                                     matrix_cache_info)
+                                     list_matrices, matrix_cache_info)
 from repro.obs.chrome import spans_to_chrome, validate_chrome_trace
 from repro.serve import (AdmissionController, BatchPlan, DecompRequest,
                          LowRankService, MatrixRef, ResultArtifact,
@@ -44,8 +44,10 @@ def req(rank=12, **kw):
 # ----------------------------------------------------------------------
 class TestRequestValidation:
     def test_unknown_matrix_rejected(self):
-        with pytest.raises(InvalidRequestError):
+        with pytest.raises(InvalidRequestError) as err:
             MatrixRef(name="nope", m=10, n=10)
+        assert str(err.value) == ("unknown gallery matrix 'nope'; "
+                                  f"available: {list_matrices()}")
 
     def test_fixed_rank_needs_rank(self):
         with pytest.raises(InvalidRequestError):

@@ -55,18 +55,6 @@ class TestValidation:
             StreamScheduler(ng=1).submit_group("gemm_iter", 1.0,
                                                placements=[])
 
-    def test_malformed_restore(self):
-        # A snapshot missing a key, and arguments that are no dict.
-        for state in ({"ready": {}}, 5, "x", [1], None):
-            with pytest.raises(ConfigurationError):
-                StreamScheduler(ng=1).restore(state)
-
-    def test_malformed_state_key(self):
-        with pytest.raises(ConfigurationError):
-            StreamScheduler(ng=1).restore(
-                {"ready": {"compute": 1.0}, "busy": {},
-                 "frontier": 1.0, "submissions": 1})
-
     def test_group_validates_every_placement_when_serial(self):
         """``overlap=False`` truncates the mirrors but only *after*
         validation: a typo in any placement must fail identically in
@@ -163,40 +151,11 @@ class TestReplayResume:
         assert a.elapsed == b.elapsed
         assert a.state() == b.state()
 
-    def test_resume_from_snapshot(self):
-        full = self._script(self._script(StreamScheduler(ng=2)))
-        half = self._script(StreamScheduler(ng=2))
-        snap = half.state()
-        resumed = StreamScheduler(ng=2)
-        resumed.restore(snap)
-        self._script(resumed)
-        assert resumed.elapsed == pytest.approx(full.elapsed)
-        assert resumed.state()["busy"] == pytest.approx(
-            full.state()["busy"])
-
     def test_state_survives_json_roundtrip(self):
         import json
         half = self._script(StreamScheduler(ng=2))
         snap = json.loads(json.dumps(half.state()))
         assert snap == half.state()   # string keys: lossless round-trip
-        resumed = StreamScheduler(ng=2)
-        resumed.restore(snap)
-        full = self._script(self._script(StreamScheduler(ng=2)))
-        self._script(resumed)
-        assert resumed.elapsed == pytest.approx(full.elapsed)
-        assert resumed.state() == full.state()
-
-    def test_restore_accepts_legacy_tuple_keys(self):
-        half = self._script(StreamScheduler(ng=2))
-        snap = half.state()
-        legacy = dict(snap)
-        legacy["ready"] = {(int(k.split(":")[0]), k.split(":")[1]): v
-                           for k, v in snap["ready"].items()}
-        legacy["busy"] = {(int(k.split(":")[0]), k.split(":")[1]): v
-                          for k, v in snap["busy"].items()}
-        resumed = StreamScheduler(ng=2)
-        resumed.restore(legacy)
-        assert resumed.state() == snap
 
     def test_reset_clears_clock(self):
         sched = self._script(StreamScheduler(ng=2))
